@@ -11,6 +11,7 @@ dot-decimal, newline-terminated, with exact header rows.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -202,17 +203,16 @@ def cmd_semigroup(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    cfg = SuiteConfig()
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"invalid config JSON: {exc}") from exc
-        if args.negative_control:
-            raw["negative_control"] = True
         cfg = SuiteConfig.from_dict(raw)
-    else:
-        cfg = SuiteConfig(negative_control=args.negative_control)
+    if args.negative_control:
+        cfg = dataclasses.replace(cfg, negative_control=True)
     seed = default_seed() if args.seed is None else args.seed
     report = run_suite(args.suite, cfg, seed)
     payload = report.to_json()

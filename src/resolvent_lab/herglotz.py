@@ -141,9 +141,12 @@ def _p_and_dp(spec: GeneratorSpec, z: np.ndarray):
     dp = 2.0 * spec.scale * (inv * inv) @ (weights * conj_zetas)
     return p, dp
 
-def _check_in_disk(z: np.ndarray):
-    if np.any(np.abs(z) >= 1.0):
-        raise DomainError("evaluation requires |z| < 1")
+def _check_in_disk(z, what: str = "evaluation"):
+    """Raise DomainError unless every |z| < 1; NaN counts as outside."""
+    absz = np.abs(z)
+    inside = absz < 1.0
+    if not inside.all():
+        raise DomainError(f"{what} requires |z| < 1, got |z| = {np.ravel(absz)[~np.ravel(inside)][0]}")
 
 def eval_p(spec: GeneratorSpec, z):
     """Evaluate p(z) for a scalar or ndarray of points with |z| < 1.

@@ -15,6 +15,12 @@ accepting a (possibly damped) Newton candidate only when it stays in the
 trust disk |w| <= |z| + 1e-12 and strictly reduces |F|; otherwise it falls
 back to the fixed-point map, which is always safe.  Newton supplies the
 quadratic tail that the fixed-point iteration lacks.
+
+Every solve starts cold from w = z / (1 + lambda q), the first fixed-point
+step from 0.  Seeding a solve with the solution at a neighbouring lambda
+does not pay: on the geometric lambda grids of the verification suites
+it took more iterations than the cold start, and far more on the slowest
+points.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, DomainError, NonConvergenceError
-from .herglotz import GeneratorSpec, _p_and_dp, rotate_generator
+from .herglotz import GeneratorSpec, _check_in_disk, _p_and_dp, rotate_generator
 
 DEFAULT_TOL = 1e-12
 MAX_ITER = 10_000
@@ -78,17 +84,10 @@ def _validate_common(lam: float, tol: float):
         raise ConfigError(f"tolerance must be >= 1e-14, got {tol}")
 
 
-def _solve_core(spec, lam, z, tol, max_iter, w0=None, trace=None):
+def _solve_core(spec, lam, z, tol, max_iter, trace=None):
     """Newton-with-fallback iteration on a flat complex array."""
-    absz = np.abs(z)
-    cap = absz + 1e-12
-    if w0 is None:
-        w = z / (1.0 + lam * spec.q)
-    else:
-        w = np.array(w0, dtype=complex, copy=True)
-        over = np.abs(w) > cap
-        if over.any():  # stale warm start; shrink back into the trust disk
-            w[over] = z[over] / (1.0 + lam * spec.q)
+    cap = np.abs(z) + 1e-12
+    w = z / (1.0 + lam * spec.q)
     pw, dpw = _p_and_dp(spec, w)
     F = w * (1.0 + lam * pw) - z
     aF = np.abs(F)
@@ -163,22 +162,20 @@ def solve_resolvent_grid(
     z,
     tol: float = DEFAULT_TOL,
     max_iter: int = MAX_ITER,
-    w0=None,
     strict: bool = True,
 ) -> GridSolution:
     """Solve the resolvent equation on an array of points at once.
 
-    ``w0`` warm-starts the iteration (e.g. with the solution for a nearby
-    lambda).  With ``strict`` (default) any unconverged point raises
+    Each point starts cold (see the module docstring) and stops iterating
+    once converged, so a point's solution does not depend on the others.
+    With ``strict`` (default) any unconverged point raises
     NonConvergenceError; otherwise inspect ``converged``.
     """
     _validate_common(lam, tol)
     arr = np.asarray(z, dtype=complex)
-    if np.any(np.abs(arr) >= 1.0):
-        raise DomainError("resolvent argument requires |z| < 1")
+    _check_in_disk(arr, "resolvent argument")
     flat = arr.ravel()
-    w0_flat = None if w0 is None else np.asarray(w0, dtype=complex).ravel()
-    w, g, aF, iters, conv = _solve_core(spec, lam, flat, tol, max_iter, w0=w0_flat)
+    w, g, aF, iters, conv = _solve_core(spec, lam, flat, tol, max_iter)
     if strict and not conv.all():
         worst = int(np.argmax(aF))
         raise NonConvergenceError(
@@ -213,8 +210,7 @@ def solve_resolvent(
     """
     _validate_common(lam, tol)
     zc = complex(z)
-    if abs(zc) >= 1.0:
-        raise DomainError(f"resolvent argument requires |z| < 1, got |z| = {abs(zc)}")
+    _check_in_disk(zc, "resolvent argument")
     trace = [] if collect_trace else None
     arr = np.array([zc], dtype=complex)
     w, g, aF, iters, conv = _solve_core(spec, lam, arr, tol, max_iter, trace=trace)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .bounds import composed_accretivity
 from .exceptions import DomainError, IntegrationError
 from .herglotz import GeneratorSpec, _atom_arrays, _p_and_dp, eval_p
 from .resolvent import iterate_resolvent, solve_resolvent
@@ -256,14 +255,3 @@ def estimate_accretivity_floor(spec: GeneratorSpec, r: float, n_angles: int = 40
         best = min(best, float(eval_p(spec, r * np.exp(1j * theta)).real))
     return best
 
-
-def composed_flow_envelope_ok(
-    spec: GeneratorSpec,
-    lam: float,
-    z0: complex,
-    t_end: float = 1.0,
-    slack: float = 1e-6,
-) -> SqueezeReport:
-    """Squeeze check of the composed flow against its analytic floor a_lambda."""
-    traj = integrate_composed(spec, lam, z0, t_end)
-    return squeeze_check(traj, composed_accretivity(spec.q, spec.a, lam), slack=slack)

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import distortion_bound, rho_star, t_function
+from .bounds import distortion_bound, t_function
 from .exceptions import DomainError
-from .herglotz import GeneratorSpec, _p_and_dp
+from .herglotz import GeneratorSpec, _check_in_disk, _p_and_dp
 from .resolvent import DEFAULT_TOL, solve_resolvent_grid
 
 
@@ -36,20 +36,23 @@ class StarlikeSample:
     arg_Q: float
 
 
+def _functional(spec: GeneratorSpec, lam: float, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Q from solved points w = G(z) (Q = 1 exactly at z = 0)."""
+    pw, dpw = _p_and_dp(spec, w)
+    Q = 1.0 + lam * dpw * w / (1.0 + lam * pw)
+    return np.where(z == 0.0, 1.0 + 0.0j, Q)
+
+
 def starlike_functional_grid(spec: GeneratorSpec, lam: float, z, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Vectorized Q over an array of points (Q = 1 exactly at z = 0)."""
     arr = np.asarray(z, dtype=complex)
-    sol = solve_resolvent_grid(spec, lam, arr, tol=tol)
-    pw, dpw = _p_and_dp(spec, sol.w)
-    Q = 1.0 + lam * dpw * sol.w / (1.0 + lam * pw)
-    return np.where(arr == 0.0, 1.0 + 0.0j, Q)
+    return _functional(spec, lam, arr, solve_resolvent_grid(spec, lam, arr, tol=tol).w)
 
 
 def starlike_functional(spec: GeneratorSpec, lam: float, z: complex, tol: float = DEFAULT_TOL) -> StarlikeSample:
     """Evaluate Q at one point, with deviation and argument attached."""
     zc = complex(z)
-    if abs(zc) >= 1.0:
-        raise DomainError(f"functional requires |z| < 1, got |z| = {abs(zc)}")
+    _check_in_disk(zc, "functional")
     Q = complex(starlike_functional_grid(spec, lam, np.array([zc]), tol=tol)[0])
     return StarlikeSample(z=zc, Q=Q, deviation=abs(Q - 1.0), arg_Q=math.atan2(Q.imag, Q.real))
 
@@ -176,9 +179,7 @@ def theorem_vs_empirical(
         raise DomainError(f"r_max must lie in (0, 0.999], got {r_max}")
     zs = _scan_points(int(n_samples), float(r_max))
     sol = solve_resolvent_grid(spec, lam, zs)
-    pw, dpw = _p_and_dp(spec, sol.w)
-    Q = 1.0 + lam * dpw * sol.w / (1.0 + lam * pw)
-    max_dev = float(np.max(np.abs(Q - 1.0)))
+    max_dev = float(np.max(np.abs(_functional(spec, lam, zs, sol.w) - 1.0)))
 
     rho = distortion_bound(spec.q, spec.a, lam)
     if use_sampled_sup:
@@ -201,8 +202,3 @@ def theorem_vs_empirical(
         containment_ok=max_dev <= t_bound + 1e-9,
         baseline_only=False,
     )
-
-
-def deviation_within_rho_star(spec: GeneratorSpec, lam: float) -> bool:
-    """True when the analytic radius is small enough for the T bound to bite."""
-    return distortion_bound(spec.q, spec.a, lam) <= rho_star(spec.q, spec.a, lam)

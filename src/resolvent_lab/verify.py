@@ -1,19 +1,45 @@
 """Seeded property suites pitting every analytic bound against sampled truth.
 
 Each suite draws a deterministic pool of random generators (plus planted
-extremal cases that make the bounds tight), sweeps solver samples over
-log-spaced radii and dense angles, and records any sample whose margin
-against the analytic claim is below the suite tolerance.  Reports are
-reproducible bit-for-bit from (seed, config), except for the elapsed time.
+extremal cases that make the bounds tight), checks samples against an
+analytic claim, and records any sample whose margin is below the suite
+tolerance.  Reports are reproducible bit-for-bit from (seed, config),
+except for the elapsed time.  A suite that checks no sample at all is a
+configuration error, not a pass.
+
+The seven suites that check solved resolvents are rows of ``_SWEEPS``, all
+run by one loop, ``_sweep``.  For every (generator, lambda) pass it does
+one cold ``solve_resolvent_grid`` on the generator's sample set and checks
+the row's claim on the solution:
+
+    suite                  claim on w = G(z)                        planted
+    distortion             |w|/|z| <= distortion(q, a, lam)         atom(1, 0)
+    est1                   |w|/|z| <= est1(q, lam)  (a = 0 pool)    atom(1, 0)
+    accretivity_f_compose  Re(conj(z) f(w))/|z|^2 >= a_lambda       const(1), atom(1, 0)
+    accretivity_resolvent  Re(conj(z) w)/|z|^2 >= d_lambda          const(1), atom(1, 0)
+    ineq_z_oracle          quartic radius inequality in |w|^2 < 1   atom(1, 0)
+    starlike_half          |Q - 1| <= 1                             atom(1, 0)
+    starlike_T             |Q - 1| <= T(rho) when rho <= rho*       atom(1, 1/4)
+
+A row holds only what differs between these suites: the planted specs,
+the sample-config override, the passes (the lambda grid by default;
+starlike_half adds lambda = 1.999 after the grid, starlike_T adds
+lambda = 2 and skips the passes where rho > rho*), the tolerance, the
+claim ``(spec, lam, zs, w) -> (bound, observed)`` with its direction, the
+negative-control transform of the bound, and est1's closed-form side
+check.  herglotz_equiv, squeeze, product_formula and thresholds solve no
+resolvent grid and keep their own functions.
 
 Negative controls: with ``negative_control`` set, each suite checks a
 deliberately falsified version of its bound (tight enough that a planted
 sharp case must trip it) and is expected to report at least one violation.
 This guards the detection machinery against vacuous passes.
 
-Tolerances follow the kind of arithmetic between claim and check:
-analytic identities 1e-12, solver-mediated inequalities 1e-8 (1e-9 for the
-distortion family), ODE-mediated checks 1e-6 (1e-8 envelopes).
+Tolerances follow the rounding error between claim and check: analytic
+identities 1e-12 (the T(rho*) = 1 identity scaled by the conditioning of
+T at rho*), solver-mediated inequalities 1e-8 (1e-9 for the distortion
+family), value-disk and Harnack checks 1e-10 relative to the compared
+magnitude, ODE-mediated checks 1e-6 (1e-8 envelopes).
 """
 
 from __future__ import annotations
@@ -24,6 +50,8 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -53,7 +81,10 @@ from .herglotz import (
 )
 from .resolvent import solve_resolvent_grid
 from .semigroup import integrate, ladder_gaps
-from .starlike import starlike_functional_grid
+# starlike_functional_grid is not called here; it stays bound in this
+# namespace for code that wraps the library's functions where callers look
+# them up.
+from .starlike import _functional, starlike_functional_grid  # noqa: F401
 
 DEFAULT_SEED = 1729
 _MAX_RECORDED = 100
@@ -68,6 +99,13 @@ def default_seed() -> int:
         return int(env)
     except ValueError as exc:
         raise ConfigError(f"RESOLVENT_LAB_SEED must be an integer, got {env!r}") from exc
+
+
+def _has_type_of(value, default) -> bool:
+    """True when a JSON value has the type of a SuiteConfig default (an int is a float too)."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    return isinstance(value, int) if isinstance(default, int) else isinstance(value, (int, float))
 
 
 @dataclass(frozen=True)
@@ -96,20 +134,22 @@ class SuiteConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ConfigError("suite config must be a JSON object")
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        coerced = {}
         for key, value in data.items():
-            if key.endswith("_range") or key == "ladder":
-                coerced[key] = tuple(value)
+            default = defaults[key]
+            if isinstance(default, tuple):
+                ok = isinstance(value, (list, tuple)) and (len(value) == 2 or key == "ladder")
+                ok = ok and all(_has_type_of(v, default[0]) for v in value)
             else:
-                coerced[key] = value
-        try:
-            return cls(**coerced)
-        except TypeError as exc:
-            raise ConfigError(f"bad suite config: {exc}") from exc
+                ok = _has_type_of(value, default)
+            if not ok:
+                raise ConfigError(f"config key {key!r} must look like {default!r}, got {value!r}")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
     def sample_config(self) -> SampleConfig:
         return SampleConfig(
@@ -146,15 +186,7 @@ class VerificationReport:
     elapsed: float
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "generators_tested": self.generators_tested,
-            "samples_per_generator": self.samples_per_generator,
-            "violations": [v.to_dict() for v in self.violations],
-            "worst_margin": self.worst_margin,
-            "seed": self.seed,
-            "elapsed": self.elapsed,
-        }
+        return dataclasses.asdict(self)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -169,55 +201,34 @@ class _Collector:
         self.violations: list[Violation] = []
         self.count = 0
 
-    def add(self, margin, expected, observed, spec=None, lam=None, z=None, tol=None):
-        tol = self.tol if tol is None else tol
-        margin = float(margin)
-        self.count += 1
-        if margin < self.worst:
-            self.worst = margin
-        if margin < -tol and len(self.violations) < _MAX_RECORDED:
+    def add_array(self, margins, expected, observed, spec=None, lam=None, zs=None, tol=None):
+        """Record a scalar or an array of margins; ``tol`` is a scalar or one per margin."""
+        margins = np.asarray(margins, dtype=float).reshape(-1)
+        self.count += margins.size
+        if margins.size == 0:
+            return
+        self.worst = min(self.worst, float(margins.min()))
+        bad = np.nonzero(margins < -(self.tol if tol is None else tol))[0]
+        if bad.size == 0:
+            return
+        expected = np.broadcast_to(np.asarray(expected, dtype=float), margins.shape)
+        observed = np.broadcast_to(np.asarray(observed, dtype=float), margins.shape)
+        for i in bad[: _MAX_RECORDED - len(self.violations)]:
             self.violations.append(
                 Violation(
                     spec=spec_to_dict(spec) if isinstance(spec, GeneratorSpec) else spec,
                     lam=None if lam is None else float(lam),
-                    z=None if z is None else [complex(z).real, complex(z).imag],
-                    expected=float(expected),
-                    observed=float(observed),
-                    margin=margin,
+                    z=None if zs is None else [complex(zs[i]).real, complex(zs[i]).imag],
+                    expected=float(expected[i]),
+                    observed=float(observed[i]),
+                    margin=float(margins[i]),
                 )
             )
 
-    def add_array(self, margins, expected, observed, spec=None, lam=None, zs=None, tol=None):
-        tol = self.tol if tol is None else tol
-        margins = np.asarray(margins, dtype=float)
-        self.count += margins.size
-        if margins.size == 0:
-            return
-        lo = float(margins.min())
-        if lo < self.worst:
-            self.worst = lo
-        if lo < -tol:
-            expected = np.broadcast_to(np.asarray(expected, dtype=float), margins.shape)
-            observed = np.broadcast_to(np.asarray(observed, dtype=float), margins.shape)
-            for i in np.nonzero(margins < -tol)[0]:
-                if len(self.violations) >= _MAX_RECORDED:
-                    break
-                self.violations.append(
-                    Violation(
-                        spec=spec_to_dict(spec) if isinstance(spec, GeneratorSpec) else spec,
-                        lam=None if lam is None else float(lam),
-                        z=None if zs is None else [complex(zs[i]).real, complex(zs[i]).imag],
-                        expected=float(expected[i]),
-                        observed=float(observed[i]),
-                        margin=float(margins[i]),
-                    )
-                )
 
-
-def _spec_pool(seed: int, cfg: SuiteConfig, planted=(), sample_cfg: SampleConfig | None = None):
+def _spec_pool(seed: int, cfg: SuiteConfig, planted: tuple, scfg: SampleConfig):
     rng = np.random.default_rng([seed, 0xA5])
     children = rng.integers(0, 2**62, size=cfg.n_generators)
-    scfg = sample_cfg or cfg.sample_config()
     return list(planted) + [sample_generator(int(s), scfg) for s in children]
 
 
@@ -226,7 +237,8 @@ def _sample_z(seed: int, idx: int, cfg: SuiteConfig) -> np.ndarray:
 
     Extremal behavior concentrates near the boundary and near atom
     directions, so the outermost circle is at r_max and the exact axis
-    points +-r_max, +-i r_max are always present.
+    points +-r_max, +-i r_max are always present.  The claims divide by
+    |z|, so z = 0 is dropped.
     """
     radii = np.geomspace(0.1, cfg.r_max, cfg.n_radii)
     angles = 2.0 * np.pi * np.arange(cfg.n_angles) / cfg.n_angles + 0.236
@@ -235,7 +247,8 @@ def _sample_z(seed: int, idx: int, cfg: SuiteConfig) -> np.ndarray:
     rr = cfg.r_max * np.sqrt(rng.uniform(0.0, 1.0, cfg.n_random))
     aa = rng.uniform(0.0, 2.0 * np.pi, cfg.n_random)
     axis = np.array([cfg.r_max, -cfg.r_max, 1j * cfg.r_max, -1j * cfg.r_max])
-    return np.concatenate([grid, rr * np.exp(1j * aa), axis])
+    zs = np.concatenate([grid, rr * np.exp(1j * aa), axis])
+    return zs[zs != 0]
 
 
 def _lambda_grid(cfg: SuiteConfig) -> np.ndarray:
@@ -243,136 +256,92 @@ def _lambda_grid(cfg: SuiteConfig) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# suites
+# the solver suites: one sweep loop, one row each
 # ---------------------------------------------------------------------------
 
-def _suite_distortion(cfg: SuiteConfig, seed: int):
-    """|G_lambda(z)| <= distortion * |z| on every sample; control: bound * 0.99."""
-    col = _Collector(1e-9)
-    specs = _spec_pool(seed, cfg, planted=(extremal_generator(1.0, 0.0),))
-    lams = _lambda_grid(cfg)
-    factor = 0.99 if cfg.negative_control else 1.0
-    n_z = 0
-    for i, spec in enumerate(specs):
-        zs = _sample_z(seed, i, cfg)
-        n_z = zs.size
-        nz = zs != 0
-        absz = np.abs(zs[nz])
-        w0 = None
-        for lam in lams:
-            bound = factor * distortion_bound(spec.q, spec.a, float(lam))
-            sol = solve_resolvent_grid(spec, float(lam), zs, tol=cfg.solver_tol, w0=w0)
-            w0 = sol.w
-            ratio = np.abs(sol.w[nz]) / absz
-            col.add_array(bound - ratio, bound, ratio, spec, lam, zs[nz])
-    return col, len(specs), cfg.n_lambdas * n_z
+def _grid_passes(specs, lams):
+    """Every generator at every lambda of the grid, generator by generator."""
+    return [(i, lam) for i in range(len(specs)) for lam in lams]
 
 
-def _suite_est1(cfg: SuiteConfig, seed: int):
-    """Piecewise a = 0 bound: sample check plus dominance over the general bound."""
-    col = _Collector(1e-9)
-    scfg = SampleConfig(
-        max_atoms=cfg.max_atoms,
+@dataclass(frozen=True)
+class _Sweep:
+    """What one solver suite checks; the loop is ``_sweep``."""
+
+    planted: tuple
+    claim: Callable  # (spec, lam, zs, w) -> (bound, observed)
+    control: Callable  # bound -> a falsified bound that a planted case breaks
+    tol: float = 1e-9
+    floor: bool = False  # the claim is observed >= bound, not observed <= bound
+    sample_cfg: Callable = SuiteConfig.sample_config
+    passes: Callable = _grid_passes  # (specs, lambda grid) -> [(spec index, lam)]
+    side: Callable | None = None  # (spec, lam) -> (bound, observed), closed form, never falsified
+
+
+def _sweep(row: _Sweep, cfg: SuiteConfig, seed: int):
+    """One cold solve per (generator, lambda) pass, checked against the row's claim.
+
+    Returns the collector, the number of generators and the samples checked
+    per generator.
+    """
+    col = _Collector(row.tol)
+    specs = _spec_pool(seed, cfg, row.planted, row.sample_cfg(cfg))
+    zsets = [_sample_z(seed, i, cfg) for i in range(len(specs))]
+    for i, lam in row.passes(specs, _lambda_grid(cfg)):
+        spec, zs, lam = specs[i], zsets[i], float(lam)
+        w = solve_resolvent_grid(spec, lam, zs, tol=cfg.solver_tol).w
+        bound, observed = row.claim(spec, lam, zs, w)
+        if cfg.negative_control:
+            bound = row.control(bound)
+        margin = observed - bound if row.floor else bound - observed
+        col.add_array(margin, bound, observed, spec, lam, zs)
+        if row.side is not None:
+            bound, observed = row.side(spec, lam)
+            col.add_array(bound - observed, bound, observed, spec, lam, tol=1e-12)
+    return col, len(specs), col.count // len(specs)
+
+
+def _ratio(w, zs):
+    return np.abs(w) / np.abs(zs)
+
+
+def _est1_samples(cfg: SuiteConfig) -> SampleConfig:
+    """The a = 0 class, with scale kept off 0 (est1 is about Re q > 0)."""
+    return dataclasses.replace(
+        cfg.sample_config(),
         a_range=(0.0, 0.0),
         scale_range=(max(cfg.scale_range[0], 0.05), cfg.scale_range[1]),
-        gamma_range=cfg.gamma_range,
     )
-    specs = _spec_pool(seed, cfg, planted=(extremal_generator(1.0, 0.0),), sample_cfg=scfg)
-    lams = _lambda_grid(cfg)
-    factor = 0.99 if cfg.negative_control else 1.0
-    n_z = 0
-    for i, spec in enumerate(specs):
-        zs = _sample_z(seed, i, cfg)
-        n_z = zs.size
-        nz = zs != 0
-        absz = np.abs(zs[nz])
-        w0 = None
-        for lam in lams:
-            bound = factor * est1_bound(spec.q, float(lam))
-            sol = solve_resolvent_grid(spec, float(lam), zs, tol=cfg.solver_tol, w0=w0)
-            w0 = sol.w
-            ratio = np.abs(sol.w[nz]) / absz
-            col.add_array(bound - ratio, bound, ratio, spec, lam, zs[nz])
-            # the a = 0 simplification is never tighter than the general bound
-            dom = est1_bound(spec.q, float(lam)) - distortion_bound(spec.q, 0.0, float(lam))
-            col.add(dom, est1_bound(spec.q, float(lam)), distortion_bound(spec.q, 0.0, float(lam)),
-                    spec, lam, tol=1e-12)
-    return col, len(specs), cfg.n_lambdas * (n_z + 1)
 
 
-def _suite_accretivity_f_compose(cfg: SuiteConfig, seed: int):
-    """Re(conj(z) f(G(z)))/|z|^2 >= a_lambda; control: floor * 1.01 + 1e-9."""
-    col = _Collector(1e-8)
-    specs = _spec_pool(seed, cfg, planted=(constant_generator(1.0), extremal_generator(1.0, 0.0)))
-    lams = _lambda_grid(cfg)
-    n_z = 0
-    for i, spec in enumerate(specs):
-        zs = _sample_z(seed, i, cfg)
-        nz = zs != 0
-        zs = zs[nz]
-        n_z = zs.size
-        w0 = None
-        for lam in lams:
-            floor = composed_accretivity(spec.q, spec.a, float(lam))
-            if cfg.negative_control:
-                floor = floor * 1.01 + 1e-9
-            sol = solve_resolvent_grid(spec, float(lam), zs, tol=cfg.solver_tol, w0=w0)
-            w0 = sol.w
-            fw = eval_p(spec, sol.w) * sol.w
-            vals = (np.conj(zs) * fw).real / (np.abs(zs) ** 2)
-            col.add_array(vals - floor, floor, vals, spec, lam, zs)
-    return col, len(specs), cfg.n_lambdas * n_z
+def _f_compose_claim(spec, lam, zs, w):
+    fw = eval_p(spec, w) * w
+    return composed_accretivity(spec.q, spec.a, lam), (np.conj(zs) * fw).real / (np.abs(zs) ** 2)
 
 
-def _suite_accretivity_resolvent(cfg: SuiteConfig, seed: int):
-    """Re(conj(z) G(z))/|z|^2 >= d_lambda; control: floor * 1.01 + 1e-9."""
-    col = _Collector(1e-8)
-    specs = _spec_pool(seed, cfg, planted=(constant_generator(1.0), extremal_generator(1.0, 0.0)))
-    lams = _lambda_grid(cfg)
-    n_z = 0
-    for i, spec in enumerate(specs):
-        zs = _sample_z(seed, i, cfg)
-        zs = zs[zs != 0]
-        n_z = zs.size
-        w0 = None
-        for lam in lams:
-            floor = resolvent_accretivity(spec.q, spec.a, float(lam))
-            if cfg.negative_control:
-                floor = floor * 1.01 + 1e-9
-            sol = solve_resolvent_grid(spec, float(lam), zs, tol=cfg.solver_tol, w0=w0)
-            w0 = sol.w
-            vals = (np.conj(zs) * sol.w).real / (np.abs(zs) ** 2)
-            col.add_array(vals - floor, floor, vals, spec, lam, zs)
-    return col, len(specs), cfg.n_lambdas * n_z
+def _ineq_z_claim(spec, lam, zs, w):
+    """|w|^2 (|1 - lam q|^2 + 4 lam a + 1) - |w|^4 |1 + 2 lam a - lam q|^2 < 1."""
+    q, a = spec.q, spec.a
+    t = np.abs(w) ** 2
+    coeff4 = abs(1.0 + 2.0 * lam * a - lam * q) ** 2
+    coeff2 = abs(1.0 - lam * q) ** 2 + 4.0 * lam * a + 1.0
+    return 1.0, -(t * t) * coeff4 + t * coeff2
+
+
+def _deviation(spec, lam, zs, w):
+    return np.abs(_functional(spec, lam, zs, w) - 1.0)
 
 
 # Deviation of the planted sharp case peaks near 0.956 (single atom,
 # lambda just below 2, sampled at z = -r_max), so a factor-0.9 falsified
-# bound must trip while the true bound 1 passes.
+# bound must trip while the true bound 1 passes.  Every generator gets the
+# lambda = 1.999 pass, after the grid, so each has the same sample count.
 _STARLIKE_CONTROL_FACTOR = 0.9
-_STARLIKE_PLANT_LAMBDA = 1.999
+_STARLIKE_SHARP_LAMBDA = 1.999
 
 
-def _suite_starlike_half(cfg: SuiteConfig, seed: int):
-    """|Q - 1| <= 1 everywhere (order >= 1/2); control: bound * 0.9."""
-    col = _Collector(1e-9)
-    specs = _spec_pool(seed, cfg, planted=(extremal_generator(1.0, 0.0),))
-    lams = _lambda_grid(cfg)
-    bound = _STARLIKE_CONTROL_FACTOR if cfg.negative_control else 1.0
-    n_z = 0
-    for i, spec in enumerate(specs):
-        zs = _sample_z(seed, i, cfg)
-        zs = zs[zs != 0]
-        n_z = zs.size
-        for lam in lams:
-            dev = np.abs(starlike_functional_grid(spec, float(lam), zs, tol=cfg.solver_tol) - 1.0)
-            col.add_array(bound - dev, bound, dev, spec, lam, zs)
-    planted = extremal_generator(1.0, 0.0)
-    zs = _sample_z(seed, 0, cfg)
-    zs = zs[zs != 0]
-    dev = np.abs(starlike_functional_grid(planted, _STARLIKE_PLANT_LAMBDA, zs, tol=cfg.solver_tol) - 1.0)
-    col.add_array(bound - dev, bound, dev, planted, _STARLIKE_PLANT_LAMBDA, zs)
-    return col, len(specs), (cfg.n_lambdas + 1) * n_z
+def _starlike_half_passes(specs, lams):
+    return _grid_passes(specs, lams) + _grid_passes(specs, (_STARLIKE_SHARP_LAMBDA,))
 
 
 # Measured deviation of the planted (q=1, a=1/4, lambda=2) case is ~0.33 of
@@ -380,37 +349,92 @@ def _suite_starlike_half(cfg: SuiteConfig, seed: int):
 _STARLIKE_T_CONTROL_FACTOR = 0.2
 
 
-def _suite_starlike_t(cfg: SuiteConfig, seed: int):
-    """|Q - 1| <= T(distortion) whenever distortion <= rho*; control: T * 0.2."""
-    col = _Collector(1e-9)
-    specs = _spec_pool(seed, cfg, planted=(extremal_generator(1.0, 0.25),))
-    lams = list(_lambda_grid(cfg)) + [2.0]
-    factor = _STARLIKE_T_CONTROL_FACTOR if cfg.negative_control else 1.0
-    n_z = 0
-    checked = 0
+def _starlike_t_passes(specs, lams):
+    """The grid plus lambda = 2, where the hypothesis rho <= rho* holds."""
+    passes = []
     for i, spec in enumerate(specs):
-        zs = _sample_z(seed, i, cfg)
-        zs = zs[zs != 0]
-        n_z = zs.size
-        for lam in lams:
-            rho = distortion_bound(spec.q, spec.a, float(lam))
-            if rho > rho_star(spec.q, spec.a, float(lam)) or rho >= 1.0 - 1e-14:
-                continue
-            t_bound = factor * t_function(float(lam) * (spec.q.real - spec.a), float(lam) * spec.a, rho)
-            dev = np.abs(starlike_functional_grid(spec, float(lam), zs, tol=cfg.solver_tol) - 1.0)
-            col.add_array(t_bound - dev, t_bound, dev, spec, lam, zs)
-            checked += 1
-    return col, len(specs), max(1, checked) * n_z // max(1, len(specs))
+        for lam in map(float, (*lams, 2.0)):
+            rho = distortion_bound(spec.q, spec.a, lam)
+            if rho <= rho_star(spec.q, spec.a, lam) and rho < 1.0 - 1e-14:
+                passes.append((i, lam))
+    return passes
 
+
+def _starlike_t_claim(spec, lam, zs, w):
+    rho = distortion_bound(spec.q, spec.a, lam)
+    return t_function(lam * (spec.q.real - spec.a), lam * spec.a, rho), _deviation(spec, lam, zs, w)
+
+
+_SHARP = extremal_generator(1.0, 0.0)
+_SHARP_PAIR = (constant_generator(1.0), _SHARP)
+
+_SWEEPS = {
+    "distortion": _Sweep(
+        planted=(_SHARP,),
+        claim=lambda spec, lam, zs, w: (distortion_bound(spec.q, spec.a, lam), _ratio(w, zs)),
+        control=lambda b: 0.99 * b,
+    ),
+    "est1": _Sweep(
+        planted=(_SHARP,),
+        claim=lambda spec, lam, zs, w: (est1_bound(spec.q, lam), _ratio(w, zs)),
+        control=lambda b: 0.99 * b,
+        sample_cfg=_est1_samples,
+        # the a = 0 simplification is never tighter than the general bound
+        side=lambda spec, lam: (est1_bound(spec.q, lam), distortion_bound(spec.q, 0.0, lam)),
+    ),
+    "accretivity_f_compose": _Sweep(
+        planted=_SHARP_PAIR,
+        claim=_f_compose_claim,
+        control=lambda b: b * 1.01 + 1e-9,
+        tol=1e-8,
+        floor=True,
+    ),
+    "accretivity_resolvent": _Sweep(
+        planted=_SHARP_PAIR,
+        claim=lambda spec, lam, zs, w: (
+            resolvent_accretivity(spec.q, spec.a, lam),
+            (np.conj(zs) * w).real / (np.abs(zs) ** 2),
+        ),
+        control=lambda b: b * 1.01 + 1e-9,
+        tol=1e-8,
+        floor=True,
+    ),
+    "ineq_z_oracle": _Sweep(
+        planted=(_SHARP,),
+        claim=_ineq_z_claim,
+        control=lambda b: 0.99 * b,
+    ),
+    "starlike_half": _Sweep(
+        planted=(_SHARP,),
+        claim=lambda spec, lam, zs, w: (1.0, _deviation(spec, lam, zs, w)),
+        control=lambda b: _STARLIKE_CONTROL_FACTOR * b,
+        passes=_starlike_half_passes,
+    ),
+    "starlike_T": _Sweep(
+        planted=(extremal_generator(1.0, 0.25),),
+        claim=_starlike_t_claim,
+        control=lambda b: _STARLIKE_T_CONTROL_FACTOR * b,
+        passes=_starlike_t_passes,
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# suites with their own loops
+# ---------------------------------------------------------------------------
 
 def _suite_herglotz_equiv(cfg: SuiteConfig, seed: int):
     """Value-disk membership, the Harnack sandwich, and the floor Re p >= a.
 
     Control: disk radius and upper Harnack bound * 0.99 (the planted single
-    atom sits exactly on the disk boundary along the real axis).
+    atom sits exactly on the disk boundary along the real axis).  Near an
+    atom, p, the disk center and its radius all grow like 1/(1 - r), and
+    their rounding errors grow with them, so the tolerance is 1e-10
+    relative to |center| + radius, which bounds every quantity compared on
+    the circle.
     """
+    specs = _spec_pool(seed, cfg, (_SHARP,), cfg.sample_config())
     col = _Collector(1e-10)
-    specs = _spec_pool(seed, cfg, planted=(extremal_generator(1.0, 0.0),))
     factor = 0.99 if cfg.negative_control else 1.0
     radii = np.geomspace(0.1, cfg.r_max, 2 * cfg.n_radii)
     n_per = 0
@@ -423,11 +447,12 @@ def _suite_herglotz_equiv(cfg: SuiteConfig, seed: int):
             p = eval_p(spec, zs)
             disk = value_disk(spec, float(r))
             lo, hi = harnack_bounds(spec, float(r))
+            tol = 1e-10 * max(1.0, abs(disk.center) + disk.radius)
             dist = np.abs(p - disk.center)
-            col.add_array(factor * disk.radius - dist, factor * disk.radius, dist, spec, None, zs)
-            col.add_array(p.real - lo, lo, p.real, spec, None, zs)
-            col.add_array(factor * hi - p.real, factor * hi, p.real, spec, None, zs)
-            col.add_array(p.real - spec.a, spec.a, p.real, spec, None, zs)
+            col.add_array(factor * disk.radius - dist, factor * disk.radius, dist, spec, None, zs, tol)
+            col.add_array(p.real - lo, lo, p.real, spec, None, zs, tol)
+            col.add_array(factor * hi - p.real, factor * hi, p.real, spec, None, zs, tol)
+            col.add_array(p.real - spec.a, spec.a, p.real, spec, None, zs, tol)
             n_per += 4 * zs.size
     return col, len(specs), n_per
 
@@ -488,7 +513,7 @@ def _suite_product_formula(cfg: SuiteConfig, seed: int):
             for (n1, g1), (n2, g2) in zip(gaps, gaps[1:]):
                 if g1 < _PRODUCT_GAP_FLOOR:
                     continue
-                col.add(bound * g1 - g2, bound * g1, g2, spec, cfg.t_end / n1, z0)
+                col.add_array(bound * g1 - g2, bound * g1, g2, spec, cfg.t_end / n1, [z0])
                 n_per += 1
     return col, len(specs), max(n_per, 1)
 
@@ -496,9 +521,14 @@ def _suite_product_formula(cfg: SuiteConfig, seed: int):
 def _suite_thresholds(cfg: SuiteConfig, seed: int):
     """Closed-form identities and implications over random parameters.
 
-    T(rho*) = 1 to 1e-12; certified conditions imply the radius comparison;
-    the region boundary crosses zero exactly at the a = 0 threshold.
-    Control: evaluates T at rho* * (1 + 1e-6), which breaks the identity.
+    T(rho*) = 1 to 1e-12 times the conditioning of T at rho*; certified
+    conditions imply the radius comparison; the region boundary crosses
+    zero exactly at the a = 0 threshold.  Control: evaluates T at
+    rho* * (1 + 1e-6), which breaks the identity.
+
+    The conditioning r T'(r) / T(r) at rho* is 1 + rho* + (1 + beta)
+    (1 - rho*) / alpha.  It is large when alpha is small, where 1 - rho*
+    cancels, so one rounding of rho* moves T(rho*) by far more than 1e-12.
     """
     col = _Collector(1e-12)
     rng = np.random.default_rng([seed, 0x7D])
@@ -512,7 +542,8 @@ def _suite_thresholds(cfg: SuiteConfig, seed: int):
         rs = rho_star(q, a, lam)
         if alpha > 0.0 and rs * perturb < 1.0:
             err = abs(t_function(alpha, beta, rs * perturb) - 1.0)
-            col.add(-err, 0.0, err, {"q": [q.real, q.imag], "a": a}, lam)
+            cond = 1.0 + rs + (1.0 + beta) * (1.0 - rs) / alpha
+            col.add_array(-err, 0.0, err, {"q": [q.real, q.imag], "a": a}, lam, tol=1e-12 * cond)
         # certified conditions must imply the radius comparison
         qq = q.real**2 + q.imag**2
         certified = (
@@ -520,61 +551,30 @@ def _suite_thresholds(cfg: SuiteConfig, seed: int):
             or (lam * qq < 2.0 * rq and a > threshold_m2(q, lam))
         )
         if certified:
-            col.add(starlike_main_margin(q, a, lam), 0.0, -starlike_main_margin(q, a, lam),
-                    {"q": [q.real, q.imag], "a": a}, lam)
+            margin = starlike_main_margin(q, a, lam)
+            col.add_array(margin, 0.0, -margin, {"q": [q.real, q.imag], "a": a}, lam)
         # region boundary root sits at the a = 0 lambda threshold
-        s0 = rq * threshold_m1(q, 0.0)
-        col.add(-abs(region_boundary(s0)), 0.0, abs(region_boundary(s0)),
-                {"q": [q.real, q.imag], "a": 0.0}, None, tol=1e-10)
+        err = abs(region_boundary(rq * threshold_m1(q, 0.0)))
+        col.add_array(-err, 0.0, err, {"q": [q.real, q.imag], "a": 0.0}, None, tol=1e-10)
     return col, cfg.n_draws, 3
 
 
-def _suite_ineq_z(cfg: SuiteConfig, seed: int):
-    """Solved points satisfy the quartic radius inequality
-
-    |w|^2 (|1 - lam q|^2 + 4 lam a + 1) - |w|^4 |1 + 2 lam a - lam q|^2 < 1,
-    the inequality behind the distortion bound; control: right side * 0.99.
-    """
-    col = _Collector(1e-9)
-    specs = _spec_pool(seed, cfg, planted=(extremal_generator(1.0, 0.0),))
-    lams = _lambda_grid(cfg)
-    rhs = 0.99 if cfg.negative_control else 1.0
-    n_z = 0
-    for i, spec in enumerate(specs):
-        zs = _sample_z(seed, i, cfg)
-        n_z = zs.size
-        q, a = spec.q, spec.a
-        w0 = None
-        for lam in lams:
-            sol = solve_resolvent_grid(spec, float(lam), zs, tol=cfg.solver_tol, w0=w0)
-            w0 = sol.w
-            t = np.abs(sol.w) ** 2
-            coeff4 = abs(1.0 + 2.0 * lam * a - lam * q) ** 2
-            coeff2 = abs(1.0 - lam * q) ** 2 + 4.0 * lam * a + 1.0
-            lhs = -(t * t) * coeff4 + t * coeff2
-            col.add_array(rhs - lhs, rhs, lhs, spec, lam, zs)
-    return col, len(specs), cfg.n_lambdas * n_z
-
-
 _SUITES = {
-    "distortion": _suite_distortion,
-    "est1": _suite_est1,
-    "accretivity_f_compose": _suite_accretivity_f_compose,
-    "accretivity_resolvent": _suite_accretivity_resolvent,
-    "starlike_half": _suite_starlike_half,
-    "starlike_T": _suite_starlike_t,
+    **{name: partial(_sweep, row) for name, row in _SWEEPS.items()},
     "herglotz_equiv": _suite_herglotz_equiv,
     "squeeze": _suite_squeeze,
     "product_formula": _suite_product_formula,
     "thresholds": _suite_thresholds,
-    "ineq_z_oracle": _suite_ineq_z,
 }
 
 SUITE_NAMES = tuple(sorted(_SUITES))
 
 
 def run_suite(name: str, config: SuiteConfig | None = None, seed: int | None = None) -> VerificationReport:
-    """Run one named suite and return its (deterministic) report."""
+    """Run one named suite and return its (deterministic) report.
+
+    Raises ConfigError when the config leaves the suite nothing to check.
+    """
     if name not in _SUITES:
         raise ConfigError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     cfg = config or SuiteConfig()
@@ -582,13 +582,14 @@ def run_suite(name: str, config: SuiteConfig | None = None, seed: int | None = N
     start = time.perf_counter()
     collector, n_gen, per_gen = _SUITES[name](cfg, seed)
     elapsed = time.perf_counter() - start
-    worst = collector.worst if collector.count else math.inf
+    if collector.count == 0:
+        raise ConfigError(f"suite {name} checked no samples at this config")
     return VerificationReport(
         suite=name,
         generators_tested=n_gen,
         samples_per_generator=int(per_gen),
         violations=collector.violations,
-        worst_margin=worst,
+        worst_margin=collector.worst,
         seed=seed,
         elapsed=elapsed,
     )

@@ -64,9 +64,11 @@ class TestResolve:
         assert data["w"] == pytest.approx([0.25, 0.0])
 
     def test_bad_z_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "resolve", "--q", "1", "--lambda", "1", "--z", "1.5")
-        assert code == 2
-        assert "error" in err
+        for z in ("1.5", "nan"):
+            code, out, err = run_cli(capsys, "resolve", "--q", "1", "--lambda", "1", "--z", z)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_exactly_one_source(self, capsys, tmp_path):
         path = tmp_path / "s.json"
@@ -224,6 +226,25 @@ class TestVerifyCommand:
             "--negative-control",
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"n_lambdas": 0}, {"n_generators": "3"}, {"ladder": "abc"}],
+        ids=["checks-nothing", "string-count", "string-ladder"],
+    )
+    def test_bad_config_exit_2(self, capsys, tmp_path, override):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.CONFIG, **override}))
+        code, out, err = run_cli(capsys, "verify", "--suite", "distortion", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_object_config_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[]")
+        code, _, _ = run_cli(capsys, "verify", "--suite", "distortion", "--config", str(cfg), "--negative-control")
+        assert code == 2
 
     def test_unknown_suite_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "bogus")

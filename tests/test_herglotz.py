@@ -57,6 +57,9 @@ class TestEvalP:
             eval_p(single_atom, 1.0)
         with pytest.raises(DomainError):
             eval_p(single_atom, 1.2 + 0.1j)
+        for z in (float("nan"), complex(float("nan"), 0.2), np.array([0.3, np.nan])):
+            with pytest.raises(DomainError):
+                eval_p(single_atom, z)
 
     def test_pole_guard(self, single_atom):
         with pytest.raises(DomainError):

@@ -119,6 +119,11 @@ class TestSolutionContract:
     def test_validation_errors(self, single_atom):
         with pytest.raises(DomainError):
             solve_resolvent(single_atom, 1.0, 1.0)
+        for z in (float("nan"), complex(0.5, float("nan"))):
+            with pytest.raises(DomainError):
+                solve_resolvent(single_atom, 1.0, z)
+            with pytest.raises(DomainError):
+                solve_resolvent_grid(single_atom, 1.0, np.array([0.5, z]))
         with pytest.raises(DomainError):
             solve_resolvent(single_atom, 0.0, 0.5)
         with pytest.raises(DomainError):
@@ -135,12 +140,11 @@ class TestSolutionContract:
         sol = solve_resolvent_grid(single_atom, 1.0, np.array([-0.95 + 0j]), max_iter=1, strict=False)
         assert not sol.converged[0]
 
-    def test_warm_start_across_lambda(self, single_atom):
-        # the near-boundary warm start crosses a spurious-root basin; the
+    def test_cold_solve_lands_on_interior_root(self, single_atom):
+        # near the boundary F has a second zero just outside the disk; the
         # solver must still land on the interior root
         zs = np.array([-0.999 + 0j])
-        w0 = solve_resolvent_grid(single_atom, 0.4573, zs).w
-        sol = solve_resolvent_grid(single_atom, 2.1867, zs, w0=w0)
+        sol = solve_resolvent_grid(single_atom, 2.1867, zs)
         assert sol.w[0] == pytest.approx(quadratic_oracle(2.1867, -0.999 + 0j), abs=1e-10)
 
 

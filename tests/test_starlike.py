@@ -140,6 +140,14 @@ class TestTheoremComparison:
                 rep = theorem_vs_empirical(spec, lam, n_samples=192, r_max=0.995)
                 assert rep.containment_ok, (spec, lam, rep)
 
+    def test_max_deviation_is_functional_grid_maximum(self, random_specs):
+        from resolvent_lab.starlike import _scan_points
+
+        for spec in random_specs[:4]:
+            zs = _scan_points(200, 0.99)
+            rep = theorem_vs_empirical(spec, 1.7, n_samples=200, r_max=0.99)
+            assert rep.max_deviation == np.max(np.abs(starlike_functional_grid(spec, 1.7, zs) - 1.0))
+
     def test_sampled_sup_tightens(self, quarter_floor_atom):
         loose = theorem_vs_empirical(quarter_floor_atom, 2.0)
         tight = theorem_vs_empirical(quarter_floor_atom, 2.0, use_sampled_sup=True)

@@ -80,8 +80,43 @@ def test_violation_schema():
 
 
 def test_config_from_dict_round_trip():
-    cfg = SuiteConfig.from_dict({"n_generators": 3, "lambda_range": [0.1, 5.0]})
+    cfg = SuiteConfig.from_dict({"n_generators": 3, "lambda_range": [0.1, 5.0], "r_max": 1, "ladder": [4, 8]})
     assert cfg.n_generators == 3
     assert cfg.lambda_range == (0.1, 5.0)
+    assert cfg.ladder == (4, 8)
     with pytest.raises(ConfigError):
         SuiteConfig.from_dict({"bogus_key": 1})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n_generators": "3"},
+        {"n_generators": 3.0},
+        {"n_lambdas": True},
+        {"ladder": "abc"},
+        {"ladder": [8, "16"]},
+        {"lambda_range": [0.1]},
+        {"lambda_range": "0.1,5"},
+        {"r_max": "0.9"},
+        {"negative_control": 1},
+        [],
+    ],
+)
+def test_config_from_dict_rejects_wrong_types(data):
+    with pytest.raises(ConfigError):
+        SuiteConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("name,override", [("distortion", {"n_lambdas": 0}), ("thresholds", {"n_draws": 0})])
+def test_suite_that_checks_nothing_is_config_error(name, override):
+    with pytest.raises(ConfigError):
+        run_suite(name, dataclasses.replace(SMALL, **override), seed=1)
+
+
+@pytest.mark.parametrize("name", ["herglotz_equiv", "thresholds"])
+def test_no_false_alarm_at_seed_11(name):
+    # seed 11 once tripped absolute tolerances below the rounding error:
+    # value-disk radii near 1.5e3 at z = -0.999, and T(rho*) at alpha ~ 3e-9
+    report = run_suite(name, SuiteConfig(), seed=11)
+    assert report.violations == []
