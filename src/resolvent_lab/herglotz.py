@@ -119,12 +119,27 @@ def _atom_arrays(spec: GeneratorSpec):
     conj_zetas = np.exp(-1j * thetas)
     return weights, conj_zetas
 
+# Point-atom pairs per kernel block: at most 64 KiB per complex temporary,
+# half of glibc malloc's default mmap threshold (see _p_and_dp).
+_BLOCK = 4096
+
+
 def _p_and_dp(spec: GeneratorSpec, z: np.ndarray):
     """p(z) and p'(z) on points already inside the disk; shared denominators.
 
     No |z| < 1 check here; callers guarantee it.  The pole guard still
     applies because iterates can drift arbitrarily close to an atom
     direction when |z| itself is close to 1.
+
+    More than ``_BLOCK`` point-atom pairs are evaluated in blocks of points.
+    One (points x atoms) array for 2048 points of a 4-atom generator would
+    already be 128 KiB.  Whether glibc serves such an array from the heap
+    or from fresh mmap pages depends on what the process allocated and
+    freed before (the mmap threshold moves), so the same grid solves took
+    anywhere from about a hundred to 90 000 minor page faults.  Blocks stay
+    under the threshold whatever came before.  Each point's sums run over
+    the same atoms in the same order in every block of two or more points,
+    so the blocks give the same bits as one evaluation.
     """
     const = complex(spec.a, spec.gamma)
     if spec.scale == 0.0:
@@ -132,10 +147,27 @@ def _p_and_dp(spec: GeneratorSpec, z: np.ndarray):
         dp = np.zeros(np.shape(z), dtype=complex)
         return p, dp
     weights, conj_zetas = _atom_arrays(spec)
+    z = np.asarray(z)
+    near_rim = z.size > 0 and np.max(np.abs(z)) > 1.0 - 1e-13
+    step = max(2, _BLOCK // conj_zetas.size)
+    if z.size <= step:
+        return _kernel(spec, weights, conj_zetas, const, z, near_rim)
+    flat = z.reshape(-1)
+    p = np.empty(flat.shape, dtype=complex)
+    dp = np.empty(flat.shape, dtype=complex)
+    # numpy sums a one-row matrix product in another order than a taller
+    # one, so the last block takes a lone trailing point with it.
+    edges = [*range(0, flat.size - 1, step), flat.size]
+    for lo, hi in zip(edges, edges[1:]):
+        p[lo:hi], dp[lo:hi] = _kernel(spec, weights, conj_zetas, const, flat[lo:hi], near_rim)
+    return p.reshape(z.shape), dp.reshape(z.shape)
+
+
+def _kernel(spec, weights, conj_zetas, const, z, near_rim):
+    """One block of _p_and_dp: (points x atoms) kernel sums for p and p'."""
     denom = 1.0 - np.multiply.outer(z, conj_zetas)
-    if np.max(np.abs(np.asarray(z))) > 1.0 - 1e-13:
-        if np.min(np.abs(denom)) < POLE_GUARD:
-            raise DomainError("evaluation point is numerically on a kernel pole")
+    if near_rim and np.min(np.abs(denom)) < POLE_GUARD:
+        raise DomainError("evaluation point is numerically on a kernel pole")
     inv = 1.0 / denom
     p = spec.scale * (2.0 * inv @ weights - 1.0) + const
     dp = 2.0 * spec.scale * (inv * inv) @ (weights * conj_zetas)
@@ -298,6 +330,9 @@ def spec_from_dict(data: dict) -> GeneratorSpec:
     if sum(w for _, w in pairs) <= 0.0:
         raise ConfigError("atom weights must have positive total mass")
     pairs = [(t, w) for t, w in pairs if w > 0.0]
+    for name in ("a", "scale", "gamma"):
+        if isinstance(data[name], bool) or not isinstance(data[name], (int, float)):
+            raise ConfigError(f"{name} must be a real number, got {data[name]!r}")
     return GeneratorSpec(atoms=tuple(pairs), a=data["a"], scale=data["scale"], gamma=data["gamma"])
 
 def load_spec(path) -> GeneratorSpec:

@@ -4,7 +4,9 @@ For Re p >= a >= 0 the solution decays like |u(t)| <= e^(-a t) |z0| (the
 squeezing envelope) and stays inside the disk, so the ODE is smooth and
 non-stiff on the sampling range |z0| <= 0.999.  Integration uses an
 explicit adaptive 4th/5th-order pair (Dormand-Prince via scipy's RK45)
-with per-step tolerance and step rejection.
+with per-step tolerance and step rejection.  scipy is imported on the
+first integration, not with this module, so the rest of the library loads
+without paying for it.
 
 The n-fold resolvent composition G_{t/n} o ... o G_{t/n} approximates the
 flow at time t with an O(1/n) gap, checked empirically against the
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .exceptions import DomainError, IntegrationError
 from .herglotz import GeneratorSpec, _atom_arrays, _p_and_dp, eval_p
@@ -66,6 +67,8 @@ def _clamp_into_disk(u: complex) -> complex:
 
 
 def _integrate_rhs(rhs, spec, z0, t_end, tol, n_eval):
+    from scipy.integrate import solve_ivp
+
     events = []
     if spec.scale > 0.0:
         _, conj_zetas = _atom_arrays(spec)

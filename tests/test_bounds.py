@@ -32,6 +32,7 @@ from resolvent_lab import (
     threshold_m1,
     threshold_m2,
 )
+from resolvent_lab.bounds import _g_floor
 
 
 def random_parameters(rng):
@@ -84,6 +85,14 @@ class TestDistortion:
             distortion_bound(1.0, 0.0, 0.0)
         with pytest.raises(DomainError):
             distortion_bound(1.0, -0.1, 1.0)
+
+    def test_overflowing_lambda_is_domain_error(self):
+        # lam**3 in B overflows (q = 1), and so does (|1 - lam q|^2 - 1)^2 (tiny q)
+        for q, a, lam in ((1.0, 0.0, 1e200), (1.0, 0.5, 5e102), (1e-100, 0.0, 1e200)):
+            for fn in (distortion_bound, distortion_coefficients, resolvent_accretivity, rho_star):
+                with pytest.raises(DomainError):
+                    fn(q, a, lam)
+        assert distortion_coefficients(1.0, 0.5, 1e50).distortion > 0.0
 
 
 class TestEst1:
@@ -143,6 +152,24 @@ class TestResolventAccretivity:
     def test_weak_case_vanishes(self):
         # q=1, a=0, lambda=1: reachable radius is 1, the floor tends to 0
         assert resolvent_accretivity(1.0, 0.0, 1.0) == pytest.approx(0.0, abs=1e-6)
+
+    def test_is_the_floor_minimum_over_the_reachable_radii(self):
+        """d_lambda is the floor at tau_hat, and no radius in [0, tau_hat] is lower."""
+        rng = np.random.default_rng(26)
+        for i in range(500):
+            q = complex(rng.uniform(0.05, 3.0), rng.uniform(-2.0, 2.0))
+            a = (
+                0.0,
+                q.real,
+                q.real * (1.0 - 10.0 ** rng.uniform(-12.0, -4.0)),
+                rng.uniform(0.0, q.real),
+            )[i % 4]
+            lam = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
+            d = resolvent_accretivity(q, a, lam)
+            tau_hat = min(distortion_bound(q, a, lam), 1.0 - 1e-9)
+            dense = float(np.min(_g_floor(q, a, lam, np.linspace(0.0, tau_hat, 20001))))
+            assert d <= dense + 1e-15 * abs(dense)
+            assert dense - d <= 1e-9
 
     def test_is_a_valid_sampled_floor(self):
         rng = np.random.default_rng(25)

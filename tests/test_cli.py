@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import resolvent_lab
 from resolvent_lab import spec_to_dict, extremal_generator
 from resolvent_lab.cli import main, parse_complex
 
@@ -69,6 +73,17 @@ class TestResolve:
             assert code == 2
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key,value", [("a", "0.5"), ("a", None), ("scale", True), ("gamma", "0")])
+    def test_non_numeric_spec_field_exits_2(self, capsys, tmp_path, key, value):
+        data = {"atoms": [{"theta": 0.0, "weight": 1.0}], "a": 0.0, "scale": 1.0, "gamma": 0.0}
+        data[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "resolve", "--spec-file", str(path), "--lambda", "1", "--z", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_exactly_one_source(self, capsys, tmp_path):
         path = tmp_path / "s.json"
@@ -161,6 +176,13 @@ class TestBoundsAndOrder:
         assert data["distortion"] == pytest.approx(0.5)
         assert data["a_lambda"] == pytest.approx(0.25)
         assert data["M1"] == pytest.approx(2.0)
+
+    def test_overflowing_lambda_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--q", "1", "--lambda", "1e200", "--json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_order_certified(self, capsys):
         code, out, _ = run_cli(capsys, "order", "--q", "1", "--a", "0", "--lambda", "3.5", "--json")
@@ -257,3 +279,30 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "thresholds", "--config", str(cfg))
         assert code == 0
         assert json.loads(out)["seed"] == 4242
+
+
+STARTUP_PROBE = """
+import sys
+import resolvent_lab.cli as cli
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert cli.main(["bounds", "--q", "1+0.5i", "--a", "0.25", "--lambda", "2", "--json"]) == 0
+assert cli.main(["resolve", "--q", "1", "--lambda", "2", "--z", "0.5+0.3i", "--json"]) == 0
+assert scipy_loaded() == [], scipy_loaded()
+cli.integrate(cli.extremal_generator(1.0, 0.0), 0.5, 1.0)
+assert "scipy.integrate" in scipy_loaded()
+print("ok", file=sys.stderr)
+"""
+
+
+def test_startup_loads_no_scipy():
+    """Only the flow integration imports scipy; bounds and resolve run without it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(resolvent_lab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "ok\n"

@@ -22,6 +22,7 @@ from resolvent_lab import (
     spec_to_dict,
     value_disk,
 )
+from resolvent_lab.herglotz import _p_and_dp
 from conftest import disk_points
 
 
@@ -68,6 +69,36 @@ class TestEvalP:
     def test_constant_spec_has_no_pole(self):
         spec = GeneratorSpec(atoms=((0.0, 1.0),), a=0.5, scale=0.0, gamma=0.1)
         assert eval_p(spec, 1.0 - 1e-15) == pytest.approx(complex(0.5, 0.1))
+
+
+class TestKernelBlocks:
+    """Large inputs are evaluated in blocks of points; the bits must not change."""
+
+    SPEC = GeneratorSpec(
+        atoms=tuple((0.7 * k + 0.1, 1.0 + 0.3 * k) for k in range(8)), a=0.2, scale=1.3, gamma=-0.4
+    )
+
+    def test_blocks_match_slices(self):
+        rng = np.random.default_rng(41)
+        z = np.sqrt(rng.uniform(0.0, 0.999**2, 3000)) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 3000))
+        p, dp = _p_and_dp(self.SPEC, z)
+        sliced = [_p_and_dp(self.SPEC, z[k : k + 100]) for k in range(0, z.size, 100)]
+        assert np.array_equal(p, np.concatenate([s[0] for s in sliced]))
+        assert np.array_equal(dp, np.concatenate([s[1] for s in sliced]))
+        # one point past a whole number of blocks, and a 2-D input
+        for zz in (z[:513], z.reshape(30, 100)):
+            pb, dpb = _p_and_dp(self.SPEC, zz)
+            assert np.array_equal(pb, p[: zz.size].reshape(zz.shape))
+            assert np.array_equal(dpb, dp[: zz.size].reshape(zz.shape))
+
+    def test_pole_guard_in_any_block(self):
+        theta = self.SPEC.atoms[3][0]
+        z = 0.5 * np.exp(1j * np.linspace(0.0, 2 * np.pi, 3000))
+        z[2500] = np.exp(1j * theta)
+        with pytest.raises(DomainError):
+            _p_and_dp(self.SPEC, z)
+        with pytest.raises(DomainError):
+            _p_and_dp(self.SPEC, z[2500:2600])
 
 
 class TestEvalPPrime:
@@ -251,6 +282,14 @@ class TestJsonInterchange:
     )
     def test_rejects_malformed(self, data):
         with pytest.raises(ConfigError):
+            spec_from_dict(data)
+
+    @pytest.mark.parametrize("key", ["a", "scale", "gamma"])
+    @pytest.mark.parametrize("value", ["0.5", None, True, [0.5]])
+    def test_rejects_non_numeric_scalars(self, key, value):
+        data = {"atoms": [{"theta": 0.0, "weight": 1.0}], "a": 0.0, "scale": 1.0, "gamma": 0.0}
+        data[key] = value
+        with pytest.raises(ConfigError, match=key):
             spec_from_dict(data)
 
     def test_rejects_invalid_json(self, tmp_path):
