@@ -251,13 +251,14 @@ def starlike_order_from_rho(q: complex, a: float, lam: float, rho: float) -> Ord
     """Orders of starlikeness when |G_lambda| <= rho on the disk.
 
     For rho <= rho*: order 1/(1 + T(rho)) and strong order
-    (2/pi) arcsin T(rho).  Beyond rho* only the universal baseline
-    (order 1/2, strong order 1) is certified.
+    (2/pi) arcsin T(rho).  Beyond rho*, and at rho = 1 (the distortion
+    bound when a = 0 and |1 - lam q| <= 1, or when it rounds to 1), only
+    the universal baseline (order 1/2, strong order 1) is certified.
     """
     q, a, lam = _validate_qal(q, a, lam)
-    if not (0.0 <= rho < 1.0):
-        raise DomainError(f"rho must satisfy 0 <= rho < 1, got {rho}")
-    if rho <= rho_star(q, a, lam) + 1e-15:
+    if not (0.0 <= rho <= 1.0):
+        raise DomainError(f"rho must satisfy 0 <= rho <= 1, got {rho}")
+    if rho < 1.0 and rho <= rho_star(q, a, lam) + 1e-15:
         t = min(t_function(lam * (q.real - a), lam * a, rho), 1.0)
         return OrderEstimate(order=1.0 / (1.0 + t), strong_order=2.0 * math.asin(t) / math.pi, refined=True)
     return OrderEstimate(order=0.5, strong_order=1.0, refined=False)
@@ -266,18 +267,20 @@ def starlike_order_from_rho(q: complex, a: float, lam: float, rho: float) -> Ord
 def threshold_m1(q: complex, a: float) -> float:
     """Lambda threshold M1 beyond which the order certificate applies.
 
-    (sqrt(5 Re^2 q - 4 a Re q) + Re q - 2a) / ((Re q + a) Re q);
-    requires Re q > 0.
+    (sqrt(5 Re^2 q - 4 a Re q) + Re q - 2a) / ((Re q + a) Re q), evaluated
+    as (sqrt(5 - 4s) + 1 - 2s) / ((1 + s) Re q) with s = a / Re q so that no
+    product underflows; requires Re q > 0.
     """
     q = complex(q)
     if q.real <= 0.0:
         raise DomainError(f"threshold requires Re q > 0, got {q.real}")
     if a < 0.0:
         raise DomainError(f"need a >= 0, got {a}")
-    rad = 5.0 * q.real * q.real - 4.0 * a * q.real
+    s = a / q.real
+    rad = 5.0 - 4.0 * s
     if rad < 0.0:
         raise DomainError(f"threshold undefined for a = {a} > 1.25 Re q")
-    return (math.sqrt(rad) + q.real - 2.0 * a) / ((q.real + a) * q.real)
+    return (math.sqrt(rad) + 1.0 - 2.0 * s) / ((1.0 + s) * q.real)
 
 
 def threshold_m2(q: complex, lam: float) -> float:

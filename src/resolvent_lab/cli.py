@@ -22,6 +22,7 @@ from .bounds import (
     calc_order,
     distortion_bound,
     distortion_coefficients,
+    distortion_curve,
     est1_bound,
     region_boundary,
     starlike_order_from_rho,
@@ -167,7 +168,7 @@ def cmd_fig1(args) -> int:
         raise ConfigError("need at least one grid point")
     q = parse_complex(args.q)
     lams = np.linspace(args.lambda_min, args.lambda_max, args.n_points)
-    rows = ((_fmt(l), _fmt(distortion_bound(q, args.a, float(l)))) for l in lams)
+    rows = ((_fmt(l), _fmt(d)) for l, d in zip(lams, distortion_curve(q, args.a, lams)))
     _write_csv(args.out, "lambda,distortion", rows)
     return 0
 

@@ -15,7 +15,6 @@ the real axis) at which the distortion bounds become sharp.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -89,11 +88,6 @@ class GeneratorSpec:
     def n_atoms(self) -> int:
         return len(self.atoms)
 
-    def digest(self) -> str:
-        """Stable hex digest of the defining data (for report ordering)."""
-        payload = json.dumps(spec_to_dict(self), sort_keys=True)
-        return hashlib.sha1(payload.encode()).hexdigest()[:16]
-
 @dataclass(frozen=True)
 class Disk:
     """Closed disk {v : |v - center| <= radius} in the complex plane."""
@@ -104,9 +98,6 @@ class Disk:
     def __post_init__(self):
         if not math.isfinite(self.radius) or self.radius < 0.0:
             raise DomainError(f"disk radius must be finite and >= 0, got {self.radius}")
-
-    def contains(self, v: complex, tol: float = 1e-12) -> bool:
-        return abs(v - self.center) <= self.radius + tol
 
     def boundary_points(self, n: int) -> np.ndarray:
         ang = TWO_PI * np.arange(n) / n

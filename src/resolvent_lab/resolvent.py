@@ -21,6 +21,10 @@ step from 0.  Seeding a solve with the solution at a neighbouring lambda
 does not pay: on the geometric lambda grids of the verification suites
 it took more iterations than the cold start, and far more on the slowest
 points.
+
+``solve_resolvent_grid`` is the one vectorised path: lambda may vary per
+point, the result carries Q from the p(w), p'(w) the iteration holds at its
+final w, and ``iterate_resolvent`` composes through it.
 """
 
 from __future__ import annotations
@@ -68,24 +72,30 @@ class ResolventSolution:
 
 @dataclass(frozen=True)
 class GridSolution:
-    """Vectorized solve over an array of z points (shapes all match z)."""
+    """Vectorized solve over an array of z points (shapes all match z).
+
+    Q = 1 + lambda p'(w) w / (1 + lambda p(w)) is the starlikeness functional (1 at z = 0).
+    """
 
     w: np.ndarray
     g: np.ndarray
     residual: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
+    Q: np.ndarray
 
 
-def _validate_common(lam: float, tol: float):
-    if not np.isfinite(lam) or lam <= 0.0:
-        raise DomainError(f"lambda must be positive and finite, got {lam}")
+def _validate_common(lam, tol: float):
+    lam = np.asarray(lam, dtype=float)
+    bad = ~(np.isfinite(lam) & (lam > 0.0))
+    if bad.any():
+        raise DomainError(f"lambda must be positive and finite, got {lam[bad].flat[0]}")
     if not np.isfinite(tol) or tol < 1e-14:
         raise ConfigError(f"tolerance must be >= 1e-14, got {tol}")
 
 
 def _solve_core(spec, lam, z, tol, max_iter, trace=None):
-    """Newton-with-fallback iteration on a flat complex array."""
+    """Newton-with-fallback iteration on a flat complex array; returns w, p(w), p'(w), |F|, iterations."""
     cap = np.abs(z) + 1e-12
     w = z / (1.0 + lam * spec.q)
     pw, dpw = _p_and_dp(spec, w)
@@ -152,13 +162,12 @@ def _solve_core(spec, lam, z, tol, max_iter, trace=None):
         if trace is not None:
             trace.append(w.copy())
 
-    g = 1.0 / (1.0 + lam * pw)
-    return w, g, aF, iters, aF <= tol
+    return w, pw, dpw, aF, iters
 
 
 def solve_resolvent_grid(
     spec: GeneratorSpec,
-    lam: float,
+    lam,
     z,
     tol: float = DEFAULT_TOL,
     max_iter: int = MAX_ITER,
@@ -166,16 +175,23 @@ def solve_resolvent_grid(
 ) -> GridSolution:
     """Solve the resolvent equation on an array of points at once.
 
+    ``lam`` is one positive number or an array that broadcasts against
+    ``z``, one lambda per point; the result takes the broadcast shape.
     Each point starts cold (see the module docstring) and stops iterating
     once converged, so a point's solution does not depend on the others.
+    The result carries the starlikeness functional ``Q`` at every point.
     With ``strict`` (default) any unconverged point raises
     NonConvergenceError; otherwise inspect ``converged``.
     """
     _validate_common(lam, tol)
     arr = np.asarray(z, dtype=complex)
     _check_in_disk(arr, "resolvent argument")
+    if np.ndim(lam):
+        arr, lam = np.broadcast_arrays(arr, np.asarray(lam, dtype=float))
+        lam = lam.ravel()
     flat = arr.ravel()
-    w, g, aF, iters, conv = _solve_core(spec, lam, flat, tol, max_iter)
+    w, pw, dpw, aF, iters = _solve_core(spec, lam, flat, tol, max_iter)
+    conv = aF <= tol
     if strict and not conv.all():
         worst = int(np.argmax(aF))
         raise NonConvergenceError(
@@ -184,13 +200,16 @@ def solve_resolvent_grid(
             residual=float(aF[worst]),
             iterations=max_iter,
         )
+    den = 1.0 + lam * pw
+    Q = np.where(flat == 0.0, 1.0 + 0.0j, 1.0 + lam * dpw * w / den)
     shape = arr.shape
     return GridSolution(
         w=w.reshape(shape),
-        g=g.reshape(shape),
+        g=(1.0 / den).reshape(shape),
         residual=aF.reshape(shape),
         iterations=iters.reshape(shape),
         converged=conv.reshape(shape),
+        Q=Q.reshape(shape),
     )
 
 
@@ -208,13 +227,13 @@ def solve_resolvent(
     (solution, [iterates]) so callers can audit that the iteration never
     left |w| <= |z| + 1e-12.  Raises NonConvergenceError after ``max_iter``.
     """
-    _validate_common(lam, tol)
+    _validate_common(float(lam), tol)
     zc = complex(z)
     _check_in_disk(zc, "resolvent argument")
     trace = [] if collect_trace else None
     arr = np.array([zc], dtype=complex)
-    w, g, aF, iters, conv = _solve_core(spec, lam, arr, tol, max_iter, trace=trace)
-    if not conv[0]:
+    w, pw, _, aF, iters = _solve_core(spec, lam, arr, tol, max_iter, trace=trace)
+    if not aF[0] <= tol:
         raise NonConvergenceError(
             f"no convergence after {max_iter} iterations (residual {aF[0]:.3e})",
             w=complex(w[0]),
@@ -223,7 +242,7 @@ def solve_resolvent(
         )
     sol = ResolventSolution(
         w=complex(w[0]),
-        g=complex(g[0]),
+        g=complex((1.0 / (1.0 + lam * pw))[0]),
         residual=float(aF[0]),
         iterations=int(iters[0]),
         converged=True,
@@ -257,15 +276,24 @@ def solve_slice(
 
 def iterate_resolvent(
     spec: GeneratorSpec,
-    lam: float,
-    z: complex,
-    n: int,
+    lam,
+    z,
+    n,
     tol: float = DEFAULT_TOL,
-) -> complex:
-    """n-fold composition G_lambda(G_lambda(...(z))); |result| <= |z|."""
-    if int(n) < 1:
-        raise DomainError(f"composition count must be >= 1, got {n}")
-    w = complex(z)
-    for _ in range(int(n)):
-        w = solve_resolvent(spec, lam, w, tol=tol).w
-    return w
+):
+    """n-fold composition G_lambda(G_lambda(...(z))); |result| <= |z|.
+
+    lam, z and n broadcast: each point takes its own n steps at its own
+    lambda, and the points still running share one grid solve per step.
+    Scalar input returns a complex.
+    """
+    lams, z, counts = np.broadcast_arrays(lam, np.asarray(z, dtype=complex), np.asarray(n, dtype=np.int64))
+    if (counts < 1).any():
+        raise DomainError(f"composition count must be >= 1, got {counts.min()}")
+    w = z.copy()
+    for k in range(int(counts.max(initial=0))):
+        running = counts > k
+        # a scalar lambda stays a scalar: scalar input keeps the bits of one-point solves
+        step_lam = lams[running] if np.ndim(lam) else lam
+        w[running] = solve_resolvent_grid(spec, step_lam, w[running], tol=tol).w
+    return complex(w) if w.ndim == 0 else w

@@ -10,12 +10,16 @@ without paying for it.
 
 The n-fold resolvent composition G_{t/n} o ... o G_{t/n} approximates the
 flow at time t with an O(1/n) gap, checked empirically against the
-integrated trajectory.
+integrated trajectory.  A ladder of n values shares one integration and
+composes all its rungs together, one grid solve per step.
+
+Both integrators take 0 <= t_end <= MAX_T_END: once |u| reaches the
+absolute tolerance, stability holds the steps to order 1, so the step
+count grows like t_end (0.86 s at 1e4 on a 2-core machine, 93 s at 1e6).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +29,7 @@ from .herglotz import GeneratorSpec, _atom_arrays, _p_and_dp, eval_p
 from .resolvent import iterate_resolvent, solve_resolvent
 
 DEFAULT_ODE_TOL = 1e-9
+MAX_T_END = 1e4
 
 # Trajectories this close to an atom direction (|1 - u conj(zeta)| below the
 # threshold) abort with a partial result instead of integrating through a
@@ -66,12 +71,24 @@ def _clamp_into_disk(u: complex) -> complex:
     return u
 
 
-def _integrate_rhs(rhs, spec, z0, t_end, tol, n_eval):
-    from scipy.integrate import solve_ivp
+def _integrate_rhs(rhs, spec, z0, t_end, tol, n_eval, guard_start=False):
+    """du/dt = rhs from z0 to t_end, checked for both integrators; t_end = 0 returns z0.
 
+    Entering the pole-proximity zone stops the run; ``guard_start`` also rejects a start in it.
+    """
+    z0 = complex(z0)
+    if not abs(z0) < 1.0:
+        raise DomainError(f"initial point requires |z0| < 1, got {abs(z0)}")
+    if not 0.0 <= t_end <= MAX_T_END:
+        raise DomainError(f"t_end must lie in [0, {MAX_T_END:g}], got {t_end}")
+    start = Trajectory(times=np.array([0.0]), points=np.array([z0], dtype=complex), spec=spec, z0=z0)
+    if t_end == 0.0:
+        return start
     events = []
     if spec.scale > 0.0:
         _, conj_zetas = _atom_arrays(spec)
+        if guard_start and float(np.min(np.abs(1.0 - z0 * conj_zetas))) <= POLE_PROXIMITY:
+            raise IntegrationError("initial point is inside the pole-proximity zone", trajectory=start)
 
         def pole_event(t, y):
             return float(np.min(np.abs(1.0 - y[0] * conj_zetas))) - POLE_PROXIMITY
@@ -79,6 +96,8 @@ def _integrate_rhs(rhs, spec, z0, t_end, tol, n_eval):
         pole_event.terminal = True
         pole_event.direction = -1
         events.append(pole_event)
+
+    from scipy.integrate import solve_ivp
 
     sol = solve_ivp(
         rhs,
@@ -115,31 +134,13 @@ def integrate(
     atom direction (or drifting into one, for pathological data) raises
     IntegrationError carrying the partial trajectory.
     """
-    z0 = complex(z0)
-    if abs(z0) >= 1.0:
-        raise DomainError(f"initial point requires |z0| < 1, got {abs(z0)}")
-    if not math.isfinite(t_end) or t_end < 0.0:
-        raise DomainError(f"t_end must be finite and >= 0, got {t_end}")
-    if t_end == 0.0:
-        return Trajectory(
-            times=np.array([0.0]), points=np.array([z0], dtype=complex), spec=spec, z0=z0
-        )
-    if spec.scale > 0.0:
-        _, conj_zetas = _atom_arrays(spec)
-        if float(np.min(np.abs(1.0 - z0 * conj_zetas))) <= POLE_PROXIMITY:
-            raise IntegrationError(
-                "initial point is inside the pole-proximity zone",
-                trajectory=Trajectory(
-                    times=np.array([0.0]), points=np.array([z0], dtype=complex), spec=spec, z0=z0
-                ),
-            )
 
     def rhs(t, y):
         u = _clamp_into_disk(complex(y[0]))
         p, _ = _p_and_dp(spec, np.array(u))
         return np.array([-complex(p) * u])
 
-    return _integrate_rhs(rhs, spec, z0, float(t_end), float(tol), int(n_eval))
+    return _integrate_rhs(rhs, spec, z0, float(t_end), float(tol), int(n_eval), guard_start=True)
 
 
 def integrate_composed(
@@ -153,11 +154,9 @@ def integrate_composed(
     """Integrate the flow of the composed generator: du/dt = -f(G_lambda(u)).
 
     Its decay is governed by the composed accretivity floor a_lambda:
-    |u(t)| <= e^(-a_lambda t) |z0|.
+    |u(t)| <= e^(-a_lambda t) |z0|.  p is evaluated at G_lambda(u), not at
+    u, so a start inside the pole-proximity zone is allowed.
     """
-    z0 = complex(z0)
-    if abs(z0) >= 1.0:
-        raise DomainError(f"initial point requires |z0| < 1, got {abs(z0)}")
 
     def rhs(t, y):
         u = _clamp_into_disk(complex(y[0]))
@@ -191,32 +190,25 @@ class ProductGap:
     gap: float
 
 
+def _flow_endpoint(spec, z0, t, ns, integrator_tol):
+    """u(t, z0) for a product-formula check, once the composition counts are checked."""
+    if min(ns, default=1) < 1:
+        raise DomainError(f"composition count must be >= 1, got {min(ns)}")
+    return integrate(spec, z0, t, tol=integrator_tol, n_eval=2).endpoint
+
+
 def product_formula(
     spec: GeneratorSpec,
     z0: complex,
     t: float,
     n: int,
     integrator_tol: float = 1e-11,
-    integrated: complex | None = None,
 ) -> ProductGap:
-    """Gap |G_{t/n}^(n)(z0) - u(t, z0)|; empirically O(1/n).
-
-    ``integrated`` can carry a precomputed flow endpoint so that ladders
-    of n values share one integration.
-    """
-    if int(n) < 1:
-        raise DomainError(f"composition count must be >= 1, got {n}")
-    z0 = complex(z0)
-    if abs(z0) >= 1.0:
-        raise DomainError(f"initial point requires |z0| < 1, got {abs(z0)}")
-    if t < 0.0 or not math.isfinite(t):
-        raise DomainError(f"time must be finite and >= 0, got {t}")
-    if t == 0.0:
-        return ProductGap(iterated=z0, integrated=z0, gap=0.0)
-    if integrated is None:
-        integrated = integrate(spec, z0, t, tol=integrator_tol, n_eval=2).endpoint
-    iterated = iterate_resolvent(spec, t / int(n), z0, int(n))
-    return ProductGap(iterated=iterated, integrated=complex(integrated), gap=abs(iterated - integrated))
+    """Gap |G_{t/n}^(n)(z0) - u(t, z0)|; empirically O(1/n)."""
+    n = int(n)
+    integrated = _flow_endpoint(spec, z0, t, [n], integrator_tol)
+    iterated = iterate_resolvent(spec, t / n, z0, n) if t else integrated
+    return ProductGap(iterated=iterated, integrated=integrated, gap=abs(iterated - integrated))
 
 
 def ladder_gaps(
@@ -226,11 +218,11 @@ def ladder_gaps(
     ns=(8, 16, 32, 64, 128),
     integrator_tol: float = 1e-11,
 ):
-    """Product-formula gaps along a deterministic n-ladder (shared flow endpoint)."""
-    endpoint = integrate(spec, complex(z0), float(t), tol=integrator_tol, n_eval=2).endpoint
-    return [
-        (int(n), product_formula(spec, z0, t, int(n), integrated=endpoint).gap) for n in ns
-    ]
+    """Product-formula gaps [(n, gap)] along an n-ladder: one flow endpoint, all rungs composed together."""
+    ns = [int(n) for n in ns]
+    endpoint = _flow_endpoint(spec, z0, t, ns, integrator_tol)
+    iterated = iterate_resolvent(spec, t / np.array(ns), z0, ns) if t else [endpoint] * len(ns)
+    return [(n, abs(complex(u) - endpoint)) for n, u in zip(ns, iterated)]
 
 
 def estimate_accretivity_floor(spec: GeneratorSpec, r: float, n_angles: int = 4096) -> float:

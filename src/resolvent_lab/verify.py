@@ -10,9 +10,9 @@ configuration error, not a pass.
 The seven suites that check solved resolvents are rows of ``_SWEEPS``, all
 run by one loop, ``_sweep``.  For every (generator, lambda) pass it does
 one cold ``solve_resolvent_grid`` on the generator's sample set and checks
-the row's claim on the solution:
+the row's claim on the solution, which carries w = G(z) and Q:
 
-    suite                  claim on w = G(z)                        planted
+    suite                  claim on w = G(z) or Q                   planted
     distortion             |w|/|z| <= distortion(q, a, lam)         atom(1, 0)
     est1                   |w|/|z| <= est1(q, lam)  (a = 0 pool)    atom(1, 0)
     accretivity_f_compose  Re(conj(z) f(w))/|z|^2 >= a_lambda       const(1), atom(1, 0)
@@ -25,10 +25,10 @@ A row holds only what differs between these suites: the planted specs,
 the sample-config override, the passes (the lambda grid by default;
 starlike_half adds lambda = 1.999 after the grid, starlike_T adds
 lambda = 2 and skips the passes where rho > rho*), the tolerance, the
-claim ``(spec, lam, zs, w) -> (bound, observed)`` with its direction, the
-negative-control transform of the bound, and est1's closed-form side
-check.  herglotz_equiv, squeeze, product_formula and thresholds solve no
-resolvent grid and keep their own functions.
+claim ``(spec, lam, zs, sol) -> (bound, observed)`` on the grid solution
+with its direction, the negative-control transform of the bound, and
+est1's closed-form side check.  herglotz_equiv, squeeze, product_formula
+and thresholds solve no resolvent grid and keep their own functions.
 
 Negative controls: with ``negative_control`` set, each suite checks a
 deliberately falsified version of its bound (tight enough that a planted
@@ -84,7 +84,7 @@ from .semigroup import integrate, ladder_gaps
 # starlike_functional_grid is not called here; it stays bound in this
 # namespace for code that wraps the library's functions where callers look
 # them up.
-from .starlike import _functional, starlike_functional_grid  # noqa: F401
+from .starlike import starlike_functional_grid  # noqa: F401
 
 DEFAULT_SEED = 1729
 _MAX_RECORDED = 100
@@ -269,7 +269,7 @@ class _Sweep:
     """What one solver suite checks; the loop is ``_sweep``."""
 
     planted: tuple
-    claim: Callable  # (spec, lam, zs, w) -> (bound, observed)
+    claim: Callable  # (spec, lam, zs, grid solution) -> (bound, observed)
     control: Callable  # bound -> a falsified bound that a planted case breaks
     tol: float = 1e-9
     floor: bool = False  # the claim is observed >= bound, not observed <= bound
@@ -289,8 +289,8 @@ def _sweep(row: _Sweep, cfg: SuiteConfig, seed: int):
     zsets = [_sample_z(seed, i, cfg) for i in range(len(specs))]
     for i, lam in row.passes(specs, _lambda_grid(cfg)):
         spec, zs, lam = specs[i], zsets[i], float(lam)
-        w = solve_resolvent_grid(spec, lam, zs, tol=cfg.solver_tol).w
-        bound, observed = row.claim(spec, lam, zs, w)
+        sol = solve_resolvent_grid(spec, lam, zs, tol=cfg.solver_tol)
+        bound, observed = row.claim(spec, lam, zs, sol)
         if cfg.negative_control:
             bound = row.control(bound)
         margin = observed - bound if row.floor else bound - observed
@@ -299,10 +299,6 @@ def _sweep(row: _Sweep, cfg: SuiteConfig, seed: int):
             bound, observed = row.side(spec, lam)
             col.add_array(bound - observed, bound, observed, spec, lam, tol=1e-12)
     return col, len(specs), col.count // len(specs)
-
-
-def _ratio(w, zs):
-    return np.abs(w) / np.abs(zs)
 
 
 def _est1_samples(cfg: SuiteConfig) -> SampleConfig:
@@ -314,22 +310,18 @@ def _est1_samples(cfg: SuiteConfig) -> SampleConfig:
     )
 
 
-def _f_compose_claim(spec, lam, zs, w):
-    fw = eval_p(spec, w) * w
+def _f_compose_claim(spec, lam, zs, sol):
+    fw = eval_p(spec, sol.w) * sol.w
     return composed_accretivity(spec.q, spec.a, lam), (np.conj(zs) * fw).real / (np.abs(zs) ** 2)
 
 
-def _ineq_z_claim(spec, lam, zs, w):
+def _ineq_z_claim(spec, lam, zs, sol):
     """|w|^2 (|1 - lam q|^2 + 4 lam a + 1) - |w|^4 |1 + 2 lam a - lam q|^2 < 1."""
     q, a = spec.q, spec.a
-    t = np.abs(w) ** 2
+    t = np.abs(sol.w) ** 2
     coeff4 = abs(1.0 + 2.0 * lam * a - lam * q) ** 2
     coeff2 = abs(1.0 - lam * q) ** 2 + 4.0 * lam * a + 1.0
     return 1.0, -(t * t) * coeff4 + t * coeff2
-
-
-def _deviation(spec, lam, zs, w):
-    return np.abs(_functional(spec, lam, zs, w) - 1.0)
 
 
 # Deviation of the planted sharp case peaks near 0.956 (single atom,
@@ -360,9 +352,9 @@ def _starlike_t_passes(specs, lams):
     return passes
 
 
-def _starlike_t_claim(spec, lam, zs, w):
+def _starlike_t_claim(spec, lam, zs, sol):
     rho = distortion_bound(spec.q, spec.a, lam)
-    return t_function(lam * (spec.q.real - spec.a), lam * spec.a, rho), _deviation(spec, lam, zs, w)
+    return t_function(lam * (spec.q.real - spec.a), lam * spec.a, rho), np.abs(sol.Q - 1.0)
 
 
 _SHARP = extremal_generator(1.0, 0.0)
@@ -371,12 +363,12 @@ _SHARP_PAIR = (constant_generator(1.0), _SHARP)
 _SWEEPS = {
     "distortion": _Sweep(
         planted=(_SHARP,),
-        claim=lambda spec, lam, zs, w: (distortion_bound(spec.q, spec.a, lam), _ratio(w, zs)),
+        claim=lambda spec, lam, zs, sol: (distortion_bound(spec.q, spec.a, lam), np.abs(sol.w) / np.abs(zs)),
         control=lambda b: 0.99 * b,
     ),
     "est1": _Sweep(
         planted=(_SHARP,),
-        claim=lambda spec, lam, zs, w: (est1_bound(spec.q, lam), _ratio(w, zs)),
+        claim=lambda spec, lam, zs, sol: (est1_bound(spec.q, lam), np.abs(sol.w) / np.abs(zs)),
         control=lambda b: 0.99 * b,
         sample_cfg=_est1_samples,
         # the a = 0 simplification is never tighter than the general bound
@@ -391,9 +383,9 @@ _SWEEPS = {
     ),
     "accretivity_resolvent": _Sweep(
         planted=_SHARP_PAIR,
-        claim=lambda spec, lam, zs, w: (
+        claim=lambda spec, lam, zs, sol: (
             resolvent_accretivity(spec.q, spec.a, lam),
-            (np.conj(zs) * w).real / (np.abs(zs) ** 2),
+            (np.conj(zs) * sol.w).real / (np.abs(zs) ** 2),
         ),
         control=lambda b: b * 1.01 + 1e-9,
         tol=1e-8,
@@ -406,7 +398,7 @@ _SWEEPS = {
     ),
     "starlike_half": _Sweep(
         planted=(_SHARP,),
-        claim=lambda spec, lam, zs, w: (1.0, _deviation(spec, lam, zs, w)),
+        claim=lambda spec, lam, zs, sol: (1.0, np.abs(sol.Q - 1.0)),
         control=lambda b: _STARLIKE_CONTROL_FACTOR * b,
         passes=_starlike_half_passes,
     ),

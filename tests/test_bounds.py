@@ -293,6 +293,18 @@ class TestOrderFromRho:
         assert est == starlike_order_from_rho(1.0, 0.0, 1.0, 0.8)
         assert (est.order, est.strong_order, est.refined) == (0.5, 1.0, False)
 
+    @pytest.mark.parametrize("q,a,lam", [(1.0, 0.0, 1.0), (1e-200, 0.0, 1e100)])
+    def test_rho_one_is_baseline(self, q, a, lam):
+        # the distortion bound is exactly 1 here (a = 0, |1 - lam q| <= 1) or rounds to 1
+        rho = distortion_bound(q, a, lam)
+        assert rho == 1.0
+        est = starlike_order_from_rho(q, a, lam, rho)
+        assert (est.order, est.strong_order, est.refined) == (0.5, 1.0, False)
+
+    def test_rho_above_one_rejected(self):
+        with pytest.raises(DomainError):
+            starlike_order_from_rho(1.0, 0.0, 1.0, 1.0 + 1e-12)
+
     def test_order_range(self):
         rng = np.random.default_rng(29)
         for _ in range(300):
@@ -308,6 +320,10 @@ class TestThresholds:
         assert threshold_m1(1.0, 0.0) == pytest.approx(1 + math.sqrt(5), abs=1e-12)
         assert threshold_m1(1.0, 0.25) == pytest.approx(2.0, abs=1e-12)
         assert threshold_m1(2.0, 0.0) == pytest.approx((2 * math.sqrt(5) + 2) / 4, abs=1e-12)
+
+    def test_m1_tiny_re_q(self):
+        # (Re q + a) Re q underflows to 0 here; M1 itself is finite
+        assert threshold_m1(1e-200, 0.0) == pytest.approx((1 + math.sqrt(5)) * 1e200, rel=1e-12)
 
     def test_m2_values(self):
         assert threshold_m2(1.0, 1.0) == pytest.approx((2 * math.sqrt(7) + 1) / 9, abs=1e-12)

@@ -196,6 +196,23 @@ class TestBoundsAndOrder:
         assert code == 0
         assert json.loads(out)["certified"] is None
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--q", "1", "--a", "0", "--lambda", "1"), ("--q", "1e-200", "--lambda", "1e100")],
+        ids=["distortion-one", "distortion-rounds-to-one"],
+    )
+    def test_order_at_rho_one(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "order", *argv, "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["rho"] == 1.0
+        assert (data["order"], data["strong_order"], data["refined"]) == (0.5, 1.0, False)
+
+    def test_bounds_tiny_q(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--q", "1e-200", "--lambda", "1e100", "--json")
+        assert code == 0, err
+        assert json.loads(out)["M1"] == pytest.approx((1 + math.sqrt(5)) * 1e200, rel=1e-12)
+
 
 class TestSemigroupCommand:
     def test_trajectory_csv(self, capsys, tmp_path):
@@ -212,6 +229,18 @@ class TestSemigroupCommand:
         assert float(last[3]) == pytest.approx(0.5 * math.exp(-1), abs=1e-6)
         assert float(last[4]) == pytest.approx(0.5 * math.exp(-1), abs=1e-12)
         assert "squeeze ok = true" in err
+
+    def test_huge_t_end_exits_2_at_once(self):
+        # unbounded, the step count grows like t_end and the call never ends
+        src = os.path.dirname(os.path.dirname(os.path.abspath(resolvent_lab.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "resolvent_lab.cli", "semigroup", "--q", "1", "--z0", "0.5", "--t-end", "1e300"],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 class TestVerifyCommand:

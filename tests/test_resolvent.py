@@ -9,6 +9,7 @@ from resolvent_lab import (
     GeneratorSpec,
     constant_generator,
     eval_p,
+    eval_p_prime,
     extremal_generator,
     iterate_resolvent,
     solve_resolvent,
@@ -140,6 +141,43 @@ class TestSolutionContract:
         sol = solve_resolvent_grid(single_atom, 1.0, np.array([-0.95 + 0j]), max_iter=1, strict=False)
         assert not sol.converged[0]
 
+    def test_lambda_array_matches_one_call_per_lambda(self, random_specs):
+        rng = np.random.default_rng(5)
+        zs = disk_points(rng, 24, 0.95)
+        lams = np.array([0.05, 0.7, 2.0, 13.0])
+        for spec in random_specs[:4]:
+            sol = solve_resolvent_grid(spec, lams[:, None], zs[None, :])
+            assert sol.w.shape == sol.Q.shape == (4, 24)
+            for i, lam in enumerate(lams):
+                one = solve_resolvent_grid(spec, float(lam), zs)
+                assert np.max(np.abs(sol.w[i] - one.w)) <= 1e-15
+                assert np.max(np.abs(sol.Q[i] - one.Q)) <= 1e-14 * np.max(np.abs(one.Q))
+                assert np.array_equal(sol.iterations[i], one.iterations)
+
+    def test_lambda_array_per_point(self, single_atom):
+        zs = np.array([0.5, -0.3 + 0.4j, 0.9j])
+        lams = np.array([1.0, 0.25, 4.0])
+        sol = solve_resolvent_grid(single_atom, lams, zs)
+        for z, lam, w in zip(zs, lams, sol.w):
+            assert w == pytest.approx(quadratic_oracle(lam, z), abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf])
+    def test_lambda_array_rejects_bad_entry(self, single_atom, bad):
+        with pytest.raises(DomainError):
+            solve_resolvent_grid(single_atom, np.array([1.0, bad, 2.0]), np.array([0.1, 0.2, 0.3]))
+
+    def test_grid_carries_functional(self, single_atom, random_specs):
+        # Q = G / (z G') with G' from the implicit derivative of the resolvent equation
+        zs = np.array([0.0, 0.5, -0.7 + 0.2j, 0.95j])
+        for spec in [single_atom] + random_specs[:4]:
+            lam = 1.3
+            sol = solve_resolvent_grid(spec, lam, zs)
+            p, dp = eval_p(spec, sol.w), eval_p_prime(spec, sol.w)
+            g_prime = 1.0 / (1.0 + lam * p + lam * dp * sol.w)
+            expected = np.where(zs == 0, 1.0, sol.w / np.where(zs == 0, 1.0, zs * g_prime))
+            assert sol.Q[0] == 1.0
+            assert np.max(np.abs(sol.Q - expected)) <= 1e-10
+
     def test_cold_solve_lands_on_interior_root(self, single_atom):
         # near the boundary F has a second zero just outside the disk; the
         # solver must still land on the interior root
@@ -203,3 +241,26 @@ class TestIteration:
     def test_n_validation(self, single_atom):
         with pytest.raises(DomainError):
             iterate_resolvent(single_atom, 1.0, 0.5, 0)
+        with pytest.raises(DomainError):
+            iterate_resolvent(single_atom, 1.0, 0.5, [3, 0])
+
+    def test_scalar_input_returns_complex(self, single_atom):
+        got = iterate_resolvent(single_atom, 1.0, 0.5, 3)
+        assert type(got) is complex
+        w = 0.5
+        for _ in range(3):
+            w = solve_resolvent(single_atom, 1.0, w).w
+        assert got == w
+
+    def test_arrays_match_scalar_calls(self, random_specs):
+        rng = np.random.default_rng(11)
+        lams = np.array([0.05, 0.3, 1.0, 4.0])[:, None]
+        zs = disk_points(rng, 5, 0.95)[None, :]
+        ns = np.array([1, 2, 7, 3, 16])[None, :]
+        for spec in random_specs[:3]:
+            got = iterate_resolvent(spec, lams, zs, ns)
+            assert got.shape == (4, 5)
+            for i in range(4):
+                for j in range(5):
+                    one = iterate_resolvent(spec, float(lams[i, 0]), complex(zs[0, j]), int(ns[0, j]))
+                    assert abs(got[i, j] - one) <= 1e-15

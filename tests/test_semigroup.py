@@ -20,6 +20,7 @@ from resolvent_lab import (
     solve_resolvent,
     squeeze_check,
 )
+from resolvent_lab.semigroup import MAX_T_END
 
 
 class TestIntegrate:
@@ -61,6 +62,30 @@ class TestIntegrate:
             integrate(single_atom, 1.0, 1.0)
         with pytest.raises(DomainError):
             integrate(single_atom, 0.5, -1.0)
+
+    @pytest.mark.parametrize("t_end", [-1.0, float("nan"), float("inf"), 2.0 * MAX_T_END, 1e300])
+    def test_both_integrators_reject_bad_t_end(self, single_atom, t_end):
+        with pytest.raises(DomainError):
+            integrate(single_atom, 0.5, t_end)
+        with pytest.raises(DomainError):
+            integrate_composed(single_atom, 1.0, 0.5, t_end)
+
+    @pytest.mark.parametrize("z0", [1.0, -0.6 + 0.8j, complex(float("nan"), 0.0)])
+    def test_both_integrators_reject_bad_start(self, single_atom, z0):
+        with pytest.raises(DomainError):
+            integrate(single_atom, z0, 1.0)
+        with pytest.raises(DomainError):
+            integrate_composed(single_atom, 1.0, z0, 1.0)
+
+    def test_composed_t_zero(self, single_atom):
+        traj = integrate_composed(single_atom, 1.0, 0.3, 0.0)
+        assert traj.endpoint == 0.3
+        assert traj.times.tolist() == [0.0]
+
+    def test_composed_may_start_in_pole_zone(self, single_atom):
+        # the composed right-hand side evaluates p at G(u), away from the atom
+        traj = integrate_composed(single_atom, 1.0, 0.9996, 0.1)
+        assert abs(traj.endpoint) < 0.9996
 
     def test_pole_proximity_partial_result(self, single_atom):
         # |z0| < 1 is legal input, but starting on the atom axis within the
@@ -149,6 +174,24 @@ class TestProductFormula:
                 if g1 < 1e-7:
                     continue
                 assert g2 < g1
+
+    def test_ladder_matches_product_formula(self, single_atom, constant_one):
+        specs = [single_atom, constant_one] + [sample_generator(s) for s in (9001, 9002, 9003, 9004)]
+        for spec in specs:
+            for z0, t in ((0.5, 1.0), (-0.35 + 0.35j, 0.7)):
+                ns = (3, 8, 16, 32)
+                gaps = ladder_gaps(spec, z0, t, ns=ns)
+                assert [n for n, _ in gaps] == list(ns)
+                for (_, gap), n in zip(gaps, ns):
+                    assert abs(gap - product_formula(spec, z0, t, n).gap) <= 1e-15
+
+    def test_ladder_edge_cases(self, single_atom):
+        assert ladder_gaps(single_atom, 0.5, 1.0, ns=()) == []
+        assert ladder_gaps(single_atom, 0.5, 0.0, ns=(1, 4)) == [(1, 0.0), (4, 0.0)]
+        with pytest.raises(DomainError):
+            ladder_gaps(single_atom, 0.5, 1.0, ns=(8, 0))
+        with pytest.raises(DomainError):
+            product_formula(single_atom, 0.5, 1.0, 0)
 
     def test_iterated_matches_compose(self, single_atom):
         res = product_formula(single_atom, 0.5, 1.0, 2)
