@@ -22,9 +22,10 @@ does not pay: on the geometric lambda grids of the verification suites
 it took more iterations than the cold start, and far more on the slowest
 points.
 
-``solve_resolvent_grid`` is the one vectorised path: lambda may vary per
-point, the result carries Q from the p(w), p'(w) the iteration holds at its
-final w, and ``iterate_resolvent`` composes through it.
+``solve_resolvent_grid`` is the one solve path: lambda may vary per point,
+the result carries Q from the final p(w), p'(w), ``iterate_resolvent``
+composes through it and ``solve_resolvent`` is a one-point grid solve.  The
+iterate after k rounds is the w of a run with ``max_iter=k, strict=False``.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def _validate_common(lam, tol: float):
         raise ConfigError(f"tolerance must be >= 1e-14, got {tol}")
 
 
-def _solve_core(spec, lam, z, tol, max_iter, trace=None):
+def _solve_core(spec, lam, z, tol, max_iter):
     """Newton-with-fallback iteration on a flat complex array; returns w, p(w), p'(w), |F|, iterations."""
     cap = np.abs(z) + 1e-12
     w = z / (1.0 + lam * spec.q)
@@ -105,8 +106,6 @@ def _solve_core(spec, lam, z, tol, max_iter, trace=None):
     hold = np.zeros(z.shape, dtype=np.int64)
     best = aF.copy()
     since_best = np.zeros(z.shape, dtype=np.int64)
-    if trace is not None:
-        trace.append(w.copy())
 
     for _ in range(max_iter):
         active = aF > tol
@@ -159,8 +158,6 @@ def _solve_core(spec, lam, z, tol, max_iter, trace=None):
         if tripped.any():
             hold[tripped] = _STALL_HOLD
             since_best[tripped] = 0
-        if trace is not None:
-            trace.append(w.copy())
 
     return w, pw, dpw, aF, iters
 
@@ -219,37 +216,20 @@ def solve_resolvent(
     z: complex,
     tol: float = DEFAULT_TOL,
     max_iter: int = MAX_ITER,
-    collect_trace: bool = False,
-):
-    """Solve w + lambda p(w) w = z for a single point.
+) -> ResolventSolution:
+    """Solve w + lambda p(w) w = z for a single point: a one-point ``solve_resolvent_grid``.
 
-    Returns a ResolventSolution; with ``collect_trace`` returns
-    (solution, [iterates]) so callers can audit that the iteration never
-    left |w| <= |z| + 1e-12.  Raises NonConvergenceError after ``max_iter``.
+    Returns a ResolventSolution with the grid's bits.  Raises
+    NonConvergenceError after ``max_iter``.
     """
-    _validate_common(float(lam), tol)
-    zc = complex(z)
-    _check_in_disk(zc, "resolvent argument")
-    trace = [] if collect_trace else None
-    arr = np.array([zc], dtype=complex)
-    w, pw, _, aF, iters = _solve_core(spec, lam, arr, tol, max_iter, trace=trace)
-    if not aF[0] <= tol:
-        raise NonConvergenceError(
-            f"no convergence after {max_iter} iterations (residual {aF[0]:.3e})",
-            w=complex(w[0]),
-            residual=float(aF[0]),
-            iterations=max_iter,
-        )
-    sol = ResolventSolution(
-        w=complex(w[0]),
-        g=complex((1.0 / (1.0 + lam * pw))[0]),
-        residual=float(aF[0]),
-        iterations=int(iters[0]),
+    sol = solve_resolvent_grid(spec, float(lam), [complex(z)], tol=tol, max_iter=max_iter)
+    return ResolventSolution(
+        w=complex(sol.w[0]),
+        g=complex(sol.g[0]),
+        residual=float(sol.residual[0]),
+        iterations=int(sol.iterations[0]),
         converged=True,
     )
-    if collect_trace:
-        return sol, [complex(t[0]) for t in trace]
-    return sol
 
 
 def solve_slice(

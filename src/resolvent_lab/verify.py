@@ -487,8 +487,10 @@ def _suite_product_formula(cfg: SuiteConfig, seed: int):
     Asymptotically the gap is O(1/n) so consecutive ratios sit near 1/2;
     pairs with gaps at the integrator noise floor are skipped.  Control:
     require ratio <= 0.25, which the planted single-atom ladder (ratios
-    near 1/2) must fail.
+    near 1/2) must fail.  Each rung must double the one before.
     """
+    if any(n2 != 2 * n1 for n1, n2 in zip(cfg.ladder, cfg.ladder[1:])):
+        raise ConfigError(f"each ladder rung must double the one before, got {list(cfg.ladder)}")
     col = _Collector(0.0)
     scfg = cfg.sample_config()
     rng = np.random.default_rng([seed, 0xF0])

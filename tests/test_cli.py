@@ -230,17 +230,25 @@ class TestSemigroupCommand:
         assert float(last[4]) == pytest.approx(0.5 * math.exp(-1), abs=1e-12)
         assert "squeeze ok = true" in err
 
-    def test_huge_t_end_exits_2_at_once(self):
-        # unbounded, the step count grows like t_end and the call never ends
+    @staticmethod
+    def _assert_exits_2_at_once(*argv):
         src = os.path.dirname(os.path.dirname(os.path.abspath(resolvent_lab.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-m", "resolvent_lab.cli", "semigroup", "--q", "1", "--z0", "0.5", "--t-end", "1e300"],
+            [sys.executable, "-m", "resolvent_lab.cli", "semigroup", "--q", "1", "--z0", "0.5", *argv],
             capture_output=True, text=True, env=env, timeout=10,
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def test_huge_t_end_exits_2_at_once(self):
+        # unbounded, the step count grows like t_end and the call never ends
+        self._assert_exits_2_at_once("--t-end", "1e300")
+
+    def test_nan_tol_exits_2_at_once(self):
+        # a NaN tolerance once kept the adaptive stepper running forever
+        self._assert_exits_2_at_once("--tol", "nan")
 
 
 class TestVerifyCommand:
@@ -289,6 +297,17 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "--suite", "distortion", "--config", str(cfg))
         assert code == 2
         assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_ladder_that_does_not_double_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.CONFIG, "ladder": [8, 9, 10]}))
+        out_path = tmp_path / "report.json"
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "product_formula", "--config", str(cfg), "--out", str(out_path)
+        )
+        assert code == 2
+        assert out == "" and not out_path.exists()
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_non_object_config_exit_2(self, capsys, tmp_path):

@@ -86,8 +86,10 @@ class TestSolutionContract:
     def test_iterates_stay_in_trust_disk(self, single_atom, random_specs):
         for spec in [single_atom] + random_specs[:5]:
             for lam, z in ((1.0, -0.999), (2.19, -0.999), (0.01, 0.99), (40.0, 0.7j)):
-                sol, trace = solve_resolvent(spec, lam, z, collect_trace=True)
-                assert max(abs(w) for w in trace) <= abs(z) + 1e-12
+                # the iterate after k rounds is the w of a run capped at k rounds
+                for k in range(solve_resolvent(spec, lam, z).iterations + 1):
+                    w = solve_resolvent_grid(spec, lam, [z], max_iter=k, strict=False).w[0]
+                    assert abs(w) <= abs(z) + 1e-12
 
     def test_z_zero(self, single_atom):
         sol = solve_resolvent(single_atom, 1.0, 0.0)
@@ -131,6 +133,14 @@ class TestSolutionContract:
             solve_resolvent(single_atom, -1.0, 0.5)
         with pytest.raises(ConfigError):
             solve_resolvent(single_atom, 1.0, 0.5, tol=1e-16)
+
+    def test_scalar_solve_is_one_point_grid_solve(self, single_atom, random_specs):
+        for spec in [single_atom] + random_specs[:6]:
+            for lam, z in ((1.0, -0.999), (2.19, 0.3 - 0.6j), (0.01, 0.99), (40.0, 0.7j), (1.0, 0.0)):
+                one = solve_resolvent(spec, lam, z)
+                grid = solve_resolvent_grid(spec, lam, [z])
+                assert one.w == grid.w[0] and one.g == grid.g[0]
+                assert one.residual == grid.residual[0] and one.iterations == grid.iterations[0]
 
     def test_iteration_budget_exhaustion(self, single_atom):
         from resolvent_lab import NonConvergenceError

@@ -20,6 +20,7 @@ from resolvent_lab import (
     solve_resolvent,
     squeeze_check,
 )
+from resolvent_lab import semigroup
 from resolvent_lab.semigroup import MAX_T_END
 
 
@@ -87,6 +88,61 @@ class TestIntegrate:
         traj = integrate_composed(single_atom, 1.0, 0.9996, 0.1)
         assert abs(traj.endpoint) < 0.9996
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, 1e-20])
+    def test_both_integrators_reject_bad_tol(self, single_atom, tol):
+        with pytest.raises(DomainError):
+            integrate(single_atom, 0.5, 1.0, tol=tol)
+        with pytest.raises(DomainError):
+            integrate_composed(single_atom, 1.0, 0.5, 1.0, tol=tol)
+
+    @pytest.mark.parametrize("n_eval", [1, 0, -3])
+    def test_both_integrators_reject_bad_n_eval(self, single_atom, n_eval):
+        with pytest.raises(DomainError):
+            integrate(single_atom, 0.5, 1.0, n_eval=n_eval)
+        with pytest.raises(DomainError):
+            integrate_composed(single_atom, 1.0, 0.5, 1.0, n_eval=n_eval)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
+    def test_composed_rejects_bad_lambda(self, single_atom, lam):
+        for t_end in (1.0, 0.0):
+            with pytest.raises(DomainError):
+                integrate_composed(single_atom, lam, 0.5, t_end)
+
+    def test_composed_constant_closed_form(self):
+        # p == q: G_lam(u) = u / (1 + lam q), so u(t) = z0 e^(-q t / (1 + lam q))
+        q, z0 = 1.0 + 1.0j, 0.4 - 0.2j
+        spec = constant_generator(q)
+        for lam in (0.2, 1.0, 5.0):
+            traj = integrate_composed(spec, lam, z0, 1.5)
+            exact = z0 * np.exp(-q * traj.times / (1 + lam * q))
+            assert traj.points[0] == z0
+            assert np.max(np.abs(traj.points - exact)) <= 1e-8
+
+    def test_composed_self_consistency_tight_rerun(self, single_atom):
+        for spec in [single_atom] + [sample_generator(s) for s in (9001, 9002, 9003)]:
+            for lam in (0.2, 5.0):
+                a = integrate_composed(spec, lam, 0.55 * np.exp(0.4j), 1.0, tol=1e-9).endpoint
+                b = integrate_composed(spec, lam, 0.55 * np.exp(0.4j), 1.0, tol=1e-12).endpoint
+                assert abs(a - b) <= 1e-8
+
+    def test_composed_flow_makes_one_solve(self, single_atom, monkeypatch):
+        calls = []
+
+        def counting(name):
+            fn = getattr(semigroup, name)
+            return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+        for name in ("solve_resolvent", "eval_p"):
+            monkeypatch.setattr(semigroup, name, counting(name))
+        integrate_composed(single_atom, 1.0, 0.5, 2.0)
+        assert calls == ["solve_resolvent"]
+
+    def test_composed_pole_guard_applies_to_w(self, single_atom):
+        # for a tiny lambda, w0 = G(z0) stays within the zone of the atom at 1
+        with pytest.raises(IntegrationError) as info:
+            integrate_composed(single_atom, 1e-10, 0.99999, 1.0)
+        assert info.value.trajectory.points.tolist() == [0.99999]
+
     def test_pole_proximity_partial_result(self, single_atom):
         # |z0| < 1 is legal input, but starting on the atom axis within the
         # proximity zone must abort with the partial trajectory attached
@@ -144,6 +200,13 @@ class TestFlowResolventConsistency:
         floor = composed_accretivity(quarter_floor_atom.q, quarter_floor_atom.a, lam)
         assert floor > 0
         assert squeeze_check(traj, floor, slack=1e-6).ok
+
+    def test_composed_flow_respects_a_lambda_random(self, random_specs):
+        for k, spec in enumerate(random_specs[:8]):
+            for lam in (0.5, 2.0, 8.0):
+                traj = integrate_composed(spec, lam, 0.6 * np.exp(1j * k), 1.0)
+                floor = composed_accretivity(spec.q, spec.a, lam)
+                assert squeeze_check(traj, floor, slack=1e-8).ok
 
 
 class TestProductFormula:

@@ -114,6 +114,13 @@ def test_suite_that_checks_nothing_is_config_error(name, override):
         run_suite(name, dataclasses.replace(SMALL, **override), seed=1)
 
 
+@pytest.mark.parametrize("ladder", [(16, 8), (8, 9, 10), (8, 8)])
+def test_product_formula_rejects_ladder_that_does_not_double(ladder):
+    # gap(2n) <= 0.8 gap(n) compares rungs n and 2n only
+    with pytest.raises(ConfigError):
+        run_suite("product_formula", dataclasses.replace(SMALL, ladder=ladder), seed=1)
+
+
 @pytest.mark.parametrize("name", ["herglotz_equiv", "thresholds"])
 def test_no_false_alarm_at_seed_11(name):
     # seed 11 once tripped absolute tolerances below the rounding error:
