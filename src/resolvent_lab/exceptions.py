@@ -21,15 +21,18 @@ class NonConvergenceError(ResolventLabError, RuntimeError):
     """Solver exhausted its iteration budget.
 
     Signals numerical pathology, not mathematical failure: the resolvent
-    exists and is unique whenever Re p >= a >= 0.  The best iterate seen
-    is attached for diagnosis.
+    exists and is unique whenever Re p >= a >= 0.  The iterate of the
+    worst point (largest residual), with its z and lambda, is attached for
+    diagnosis.
     """
 
-    def __init__(self, message, w=None, residual=None, iterations=None):
+    def __init__(self, message, w=None, residual=None, iterations=None, z=None, lam=None):
         super().__init__(message)
         self.w = w
         self.residual = residual
         self.iterations = iterations
+        self.z = z
+        self.lam = lam
 
 
 class IntegrationError(ResolventLabError, RuntimeError):

@@ -26,6 +26,15 @@ points.
 the result carries Q from the final p(w), p'(w), ``iterate_resolvent``
 composes through it and ``solve_resolvent`` is a one-point grid solve.  The
 iterate after k rounds is the w of a run with ``max_iter=k, strict=False``.
+
+Points converge at very different rates (a few rounds in the interior,
+tens near an atom at small lambda), so the solver works on a shrinking
+working set: once at most half of it is still running, the finished
+points are written out and the arrays are cut down to the running ones.
+A working set is never cut to a lone point, whose kernel sum numpy would
+round in another order; so a point's bits do not depend on the other
+points of the call, and one call over a whole lambda grid gives the bits
+of one call per lambda.
 """
 
 from __future__ import annotations
@@ -86,17 +95,30 @@ class GridSolution:
     Q: np.ndarray
 
 
-def _validate_common(lam, tol: float):
+def _validate_common(lam, tol: float, max_iter):
     lam = np.asarray(lam, dtype=float)
     bad = ~(np.isfinite(lam) & (lam > 0.0))
     if bad.any():
         raise DomainError(f"lambda must be positive and finite, got {lam[bad].flat[0]}")
     if not np.isfinite(tol) or tol < 1e-14:
         raise ConfigError(f"tolerance must be >= 1e-14, got {tol}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ConfigError(f"max_iter must be an integer >= 0, got {max_iter!r}")
 
 
 def _solve_core(spec, lam, z, tol, max_iter):
-    """Newton-with-fallback iteration on a flat complex array; returns w, p(w), p'(w), |F|, iterations."""
+    """Newton-with-fallback iteration on a flat complex array; returns w, p(w), p'(w), |F|, iterations.
+
+    A round updates only the active points (|F| > tol).  Once at most half
+    of the working set is active, and at least two points are, every
+    per-point array is cut down to the active ones; never to a lone point,
+    whose one-row kernel sum numpy rounds in another order (``_p_and_dp``).
+    """
+    out = None  # the full-size w, p, p', |F| and iterations, from the first cut on
+    idx = np.arange(z.size)
+    # complex because every product with lambda is complex: a float array
+    # would be cast again in every one of them
+    lam = np.full(z.shape, lam, dtype=complex)
     cap = np.abs(z) + 1e-12
     w = z / (1.0 + lam * spec.q)
     pw, dpw = _p_and_dp(spec, w)
@@ -109,8 +131,21 @@ def _solve_core(spec, lam, z, tol, max_iter):
 
     for _ in range(max_iter):
         active = aF > tol
-        if not active.any():
+        n_active = np.count_nonzero(active)
+        if n_active == 0:
             break
+        if 2 <= n_active <= z.size // 2:
+            if out is None:  # the full-size arrays already hold every finished point
+                out = w, pw, dpw, aF, iters
+            else:
+                done = np.flatnonzero(~active)
+                for full, part in zip(out, (w, pw, dpw, aF, iters)):
+                    full[idx[done]] = part[done]
+            keep = np.flatnonzero(active)
+            idx, z, lam, cap, w, pw, dpw, F, aF, iters, hold, best, since_best = (
+                a[keep] for a in (idx, z, lam, cap, w, pw, dpw, F, aF, iters, hold, best, since_best)
+            )
+            active = np.ones(n_active, dtype=bool)
         iters[active] += 1
         moved = np.zeros(z.shape, dtype=bool)
 
@@ -159,7 +194,11 @@ def _solve_core(spec, lam, z, tol, max_iter):
             hold[tripped] = _STALL_HOLD
             since_best[tripped] = 0
 
-    return w, pw, dpw, aF, iters
+    if out is None:
+        return w, pw, dpw, aF, iters
+    for full, part in zip(out, (w, pw, dpw, aF, iters)):
+        full[idx] = part
+    return out
 
 
 def solve_resolvent_grid(
@@ -180,22 +219,31 @@ def solve_resolvent_grid(
     With ``strict`` (default) any unconverged point raises
     NonConvergenceError; otherwise inspect ``converged``.
     """
-    _validate_common(lam, tol)
+    _validate_common(lam, tol, max_iter)
     arr = np.asarray(z, dtype=complex)
     _check_in_disk(arr, "resolvent argument")
     if np.ndim(lam):
-        arr, lam = np.broadcast_arrays(arr, np.asarray(lam, dtype=float))
+        lam = np.asarray(lam, dtype=float)
+        try:
+            arr, lam = np.broadcast_arrays(arr, lam)
+        except ValueError as exc:
+            msg = f"lambda of shape {lam.shape} does not broadcast against z of shape {arr.shape}"
+            raise DomainError(msg) from exc
         lam = lam.ravel()
     flat = arr.ravel()
     w, pw, dpw, aF, iters = _solve_core(spec, lam, flat, tol, max_iter)
     conv = aF <= tol
     if strict and not conv.all():
         worst = int(np.argmax(aF))
+        z_worst, lam_worst = complex(flat[worst]), float(np.broadcast_to(lam, flat.shape)[worst])
         raise NonConvergenceError(
-            f"{int((~conv).sum())} of {flat.size} points unconverged after {max_iter} iterations",
+            f"{int((~conv).sum())} of {flat.size} points unconverged after {max_iter} iterations; "
+            f"worst residual {aF[worst]:.3g} at z = {z_worst}, lambda = {lam_worst}",
             w=complex(w[worst]),
             residual=float(aF[worst]),
             iterations=max_iter,
+            z=z_worst,
+            lam=lam_worst,
         )
     den = 1.0 + lam * pw
     Q = np.where(flat == 0.0, 1.0 + 0.0j, 1.0 + lam * dpw * w / den)

@@ -288,8 +288,8 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "override",
-        [{"n_lambdas": 0}, {"n_generators": "3"}, {"ladder": "abc"}],
-        ids=["checks-nothing", "string-count", "string-ladder"],
+        [{"n_lambdas": 0}, {"n_generators": "3"}, {"ladder": "abc"}, {"solver_tol": 1e300}, {"r_max": -0.5}],
+        ids=["checks-nothing", "string-count", "string-ladder", "huge-solver-tol", "negative-r-max"],
     )
     def test_bad_config_exit_2(self, capsys, tmp_path, override):
         cfg = tmp_path / "cfg.json"

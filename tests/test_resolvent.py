@@ -133,6 +133,14 @@ class TestSolutionContract:
             solve_resolvent(single_atom, -1.0, 0.5)
         with pytest.raises(ConfigError):
             solve_resolvent(single_atom, 1.0, 0.5, tol=1e-16)
+        for max_iter in (2.5, -1, True, "10", None):
+            with pytest.raises(ConfigError):
+                solve_resolvent_grid(single_atom, 1.0, [0.5], max_iter=max_iter)
+            with pytest.raises(ConfigError):
+                solve_resolvent(single_atom, 1.0, 0.5, max_iter=max_iter)
+        assert solve_resolvent_grid(single_atom, 1.0, [0.5], max_iter=np.int64(50)).converged.all()
+        with pytest.raises(DomainError):
+            solve_resolvent_grid(single_atom, np.ones(3), np.full(4, 0.5))
 
     def test_scalar_solve_is_one_point_grid_solve(self, single_atom, random_specs):
         for spec in [single_atom] + random_specs[:6]:
@@ -151,18 +159,45 @@ class TestSolutionContract:
         sol = solve_resolvent_grid(single_atom, 1.0, np.array([-0.95 + 0j]), max_iter=1, strict=False)
         assert not sol.converged[0]
 
-    def test_lambda_array_matches_one_call_per_lambda(self, random_specs):
+    def test_lambda_array_matches_one_call_per_lambda(self, single_atom, random_specs):
+        # z = 0.999 on an atom direction at lambda = 0.02 converges last, after
+        # the working set has shrunk around it (most points take 2-4 rounds)
         rng = np.random.default_rng(5)
         zs = disk_points(rng, 24, 0.95)
-        lams = np.array([0.05, 0.7, 2.0, 13.0])
-        for spec in random_specs[:4]:
-            sol = solve_resolvent_grid(spec, lams[:, None], zs[None, :])
-            assert sol.w.shape == sol.Q.shape == (4, 24)
+        lams = np.array([0.02, 0.05, 0.7, 2.0, 13.0])
+        for spec in [single_atom] + random_specs[:4]:
+            slow = 0.999 * np.exp(1j * spec.atoms[0][0])
+            pts = np.append(zs, slow)
+            sol = solve_resolvent_grid(spec, lams[:, None], pts[None, :])
+            assert sol.w.shape == sol.Q.shape == (5, 25)
+            assert sol.iterations[0, -1] == sol.iterations.max()
             for i, lam in enumerate(lams):
-                one = solve_resolvent_grid(spec, float(lam), zs)
-                assert np.max(np.abs(sol.w[i] - one.w)) <= 1e-15
-                assert np.max(np.abs(sol.Q[i] - one.Q)) <= 1e-14 * np.max(np.abs(one.Q))
+                one = solve_resolvent_grid(spec, float(lam), pts)
+                assert np.array_equal(sol.w[i], one.w)
+                assert np.array_equal(sol.Q[i], one.Q)
                 assert np.array_equal(sol.iterations[i], one.iterations)
+            # the last point running keeps a finished one beside it, so it
+            # has the bits of a two-point call (a one-row kernel sum may not)
+            pair = solve_resolvent_grid(spec, lams[0], [slow, zs[0]])
+            assert pair.w[0] == sol.w[0, -1] and pair.Q[0] == sol.Q[0, -1]
+            assert pair.iterations[0] == sol.iterations[0, -1]
+        # on the single atom it is the one point still running in its last round
+        sol = solve_resolvent_grid(single_atom, lams[:, None], np.append(zs, 0.999)[None, :])
+        assert np.count_nonzero(sol.iterations == sol.iterations.max()) == 1
+
+    def test_nonconvergence_names_the_worst_point(self, single_atom):
+        from resolvent_lab import NonConvergenceError
+
+        zs = np.array([0.3, -0.95, 0.6j])
+        lams = np.array([0.02, 1.0, 40.0])
+        with pytest.raises(NonConvergenceError) as info:
+            solve_resolvent_grid(single_atom, lams[:, None], zs[None, :], max_iter=1)
+        loose = solve_resolvent_grid(single_atom, lams[:, None], zs[None, :], max_iter=1, strict=False)
+        i, j = np.unravel_index(np.argmax(loose.residual), loose.residual.shape)
+        err = info.value
+        assert (err.lam, err.z) == (lams[i], zs[j])
+        assert err.w == loose.w[i, j] and err.residual == loose.residual[i, j]
+        assert str(err).endswith(f"at z = {complex(zs[j])}, lambda = {lams[i]}")
 
     def test_lambda_array_per_point(self, single_atom):
         zs = np.array([0.5, -0.3 + 0.4j, 0.9j])

@@ -1,7 +1,14 @@
-"""Verification harness: suite passes, negative controls, determinism, schema."""
+"""Verification harness: suite passes, negative controls, determinism, schema.
+
+``golden_reports.json`` holds every suite's report at ``SMALL`` (seed 101),
+with and without the negative control, ``elapsed`` removed.  A change that
+moves a bit of any report on purpose regenerates it with
+``PYTHONPATH=src python tests/test_verify.py`` and lists the differences.
+"""
 
 import dataclasses
 import json
+import pathlib
 
 import pytest
 
@@ -16,21 +23,42 @@ SMALL = SuiteConfig(
     n_trajectories=2,
     n_draws=400,
 )
+SMALL_SEED = 101
+GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_reports.json")
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
+
+
+def stable(report) -> dict:
+    """The report as JSON data without ``elapsed``, the one field outside the determinism contract."""
+    data = json.loads(report.to_json())
+    data.pop("elapsed")
+    return data
+
+
+def small_reports() -> dict:
+    """Every suite's stable report at SMALL, keyed "pass/<suite>" and "negative_control/<suite>"."""
+    return {
+        f"{kind}/{name}": stable(run_suite(name, dataclasses.replace(SMALL, negative_control=control), SMALL_SEED))
+        for kind, control in (("pass", False), ("negative_control", True))
+        for name in SUITE_NAMES
+    }
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_suite_passes(name):
-    report = run_suite(name, SMALL, seed=101)
+    report = run_suite(name, SMALL, seed=SMALL_SEED)
     assert report.violations == [], f"{name}: {report.violations[:3]}"
     assert report.generators_tested >= 1
     assert report.worst_margin > -1e-8
+    assert stable(report) == GOLDEN[f"pass/{name}"]
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_negative_control_trips(name):
     cfg = dataclasses.replace(SMALL, negative_control=True)
-    report = run_suite(name, cfg, seed=101)
+    report = run_suite(name, cfg, seed=SMALL_SEED)
     assert len(report.violations) >= 1, f"{name}: control failed to trip"
+    assert stable(report) == GOLDEN[f"negative_control/{name}"]
 
 
 def test_unknown_suite():
@@ -80,8 +108,9 @@ def test_violation_schema():
 
 
 def test_config_from_dict_round_trip():
-    cfg = SuiteConfig.from_dict({"n_generators": 3, "lambda_range": [0.1, 5.0], "r_max": 1, "ladder": [4, 8]})
+    cfg = SuiteConfig.from_dict({"n_generators": 3, "lambda_range": [0.1, 5.0], "t_end": 2, "ladder": [4, 8]})
     assert cfg.n_generators == 3
+    assert cfg.t_end == 2.0
     assert cfg.lambda_range == (0.1, 5.0)
     assert cfg.ladder == (4, 8)
     with pytest.raises(ConfigError):
@@ -101,6 +130,21 @@ def test_config_from_dict_round_trip():
         {"r_max": "0.9"},
         {"negative_control": 1},
         [],
+        {"n_angles": -3},
+        {"n_generators": -1},
+        {"n_random": -5},
+        {"ladder": [-8, -16]},
+        {"r_max": -0.5},
+        {"r_max": 0.0},
+        {"r_max": 1},
+        {"r_max": float("nan")},
+        {"lambda_range": [0.0, 5.0]},
+        {"lambda_range": [0.1, -5.0]},
+        {"lambda_range": [0.1, float("inf")]},
+        {"solver_tol": 1e300},
+        {"solver_tol": 1e-3},
+        {"solver_tol": 1e-15},
+        {"solver_tol": float("nan")},
     ],
 )
 def test_config_from_dict_rejects_wrong_types(data):
@@ -127,3 +171,9 @@ def test_no_false_alarm_at_seed_11(name):
     # value-disk radii near 1.5e3 at z = -0.999, and T(rho*) at alpha ~ 3e-9
     report = run_suite(name, SuiteConfig(), seed=11)
     assert report.violations == []
+
+
+if __name__ == "__main__":
+    # one report per line
+    lines = [f"{json.dumps(key)}: {json.dumps(report, sort_keys=True)}" for key, report in small_reports().items()]
+    GOLDEN_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")
