@@ -37,6 +37,7 @@ fall.  The floor is therefore non-increasing in tau, and its minimum over
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -93,19 +94,10 @@ class BoundSet:
     beta: float
 
     def to_dict(self) -> dict:
-        return {
-            "q": [self.q.real, self.q.imag],
-            "a": self.a,
-            "lambda": self.lam,
-            "A": self.A,
-            "B": self.B,
-            "distortion": self.distortion,
-            "a_lambda": self.a_lambda,
-            "d_lambda": self.d_lambda,
-            "rho_star": self.rho_star,
-            "alpha": self.alpha,
-            "beta": self.beta,
-        }
+        """The fields in order, with ``lam`` named "lambda" and q as [re, im]."""
+        data = {"lambda" if f.name == "lam" else f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        data["q"] = [self.q.real, self.q.imag]
+        return data
 
 
 def distortion_bound(q: complex, a: float, lam: float) -> float:
@@ -390,15 +382,14 @@ def distortion_coefficients(q: complex, a: float, lam: float) -> BoundSet:
     """Assemble every closed-form constant for one (q, a, lambda) triple."""
     q, a, lam = _validate_qal(q, a, lam)
     A, B = _ab(q, a, lam)
-    dist = math.sqrt(2.0 / (A + math.sqrt(B)))
     return BoundSet(
         q=q,
         a=a,
         lam=lam,
         A=A,
         B=B,
-        distortion=dist,
-        a_lambda=(1.0 - dist) / lam,
+        distortion=distortion_bound(q, a, lam),
+        a_lambda=composed_accretivity(q, a, lam),
         d_lambda=resolvent_accretivity(q, a, lam),
         rho_star=rho_star(q, a, lam),
         alpha=lam * (q.real - a),

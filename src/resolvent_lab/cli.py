@@ -2,7 +2,8 @@
 
 Subcommands: resolve, bounds, order, fig1, fig2, semigroup, verify.
 Exit codes: 0 success (verify: no violations), 1 verify found violations,
-2 input/configuration/IO error, 3 solver non-convergence.
+2 input/configuration/IO error (also a count too large for memory),
+3 solver non-convergence.
 
 Complex inputs use the "re+imi" form (e.g. "1+0.5i"); CSV outputs are
 dot-decimal, newline-terminated, with exact header rows.
@@ -29,17 +30,11 @@ from .bounds import (
     threshold_m1,
     threshold_m2,
 )
-from .exceptions import (
-    ConfigError,
-    DomainError,
-    IntegrationError,
-    NonConvergenceError,
-    ResolventLabError,
-)
-from .herglotz import extremal_generator, load_spec
+from .exceptions import ConfigError, NonConvergenceError, ResolventLabError
+from .herglotz import _read_json, extremal_generator, load_spec
 from .resolvent import solve_resolvent
 from .semigroup import integrate, squeeze_check
-from .verify import SUITE_NAMES, SuiteConfig, default_seed, run_suite
+from .verify import SUITE_NAMES, SuiteConfig, run_suite
 
 
 def parse_complex(text: str) -> complex:
@@ -82,7 +77,8 @@ def _open_out(path):
     return open(path, "w", encoding="utf-8", newline=""), True
 
 
-def _write_csv(path, header: str, rows) -> None:
+def _write(path, header: str, rows=()) -> None:
+    """Write the header line and the comma-joined rows to a file, or to stdout for None or "-"."""
     fh, owned = _open_out(path)
     try:
         fh.write(header + "\n")
@@ -169,7 +165,7 @@ def cmd_fig1(args) -> int:
     q = parse_complex(args.q)
     lams = np.linspace(args.lambda_min, args.lambda_max, args.n_points)
     rows = ((_fmt(l), _fmt(d)) for l, d in zip(lams, distortion_curve(q, args.a, lams)))
-    _write_csv(args.out, "lambda,distortion", rows)
+    _write(args.out, "lambda,distortion", rows)
     return 0
 
 
@@ -180,7 +176,7 @@ def cmd_fig2(args) -> int:
         raise ConfigError("need at least one grid point")
     grid = np.linspace(args.s_min, args.s_max, args.n_points)
     rows = ((_fmt(s), _fmt(region_boundary(float(s)))) for s in grid)
-    _write_csv(args.out, "s,t_star", rows)
+    _write(args.out, "s,t_star", rows)
     return 0
 
 
@@ -193,7 +189,7 @@ def cmd_semigroup(args) -> int:
         (_fmt(t), _fmt(u.real), _fmt(u.imag), _fmt(abs(u)), _fmt(e))
         for t, u, e in zip(traj.times, traj.points, env)
     )
-    _write_csv(args.out, "t,re_u,im_u,abs_u,envelope", rows)
+    _write(args.out, "t,re_u,im_u,abs_u,envelope", rows)
     report = squeeze_check(traj, spec.a)
     print(f"endpoint = {_fmt_complex(traj.endpoint)}", file=sys.stderr)
     print(
@@ -204,24 +200,11 @@ def cmd_semigroup(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = SuiteConfig()
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid config JSON: {exc}") from exc
-        cfg = SuiteConfig.from_dict(raw)
+    cfg = SuiteConfig() if args.config is None else SuiteConfig.from_dict(_read_json(args.config))
     if args.negative_control:
         cfg = dataclasses.replace(cfg, negative_control=True)
-    seed = default_seed() if args.seed is None else args.seed
-    report = run_suite(args.suite, cfg, seed)
-    payload = report.to_json()
-    if args.out in (None, "-"):
-        print(payload)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+    report = run_suite(args.suite, cfg, args.seed)
+    _write(args.out, report.to_json())
     n = len(report.violations)
     print(
         f"suite {report.suite}: {n} violation(s), worst margin {report.worst_margin:.3e}, "
@@ -229,6 +212,14 @@ def cmd_verify(args) -> int:
         file=sys.stderr,
     )
     return 1 if report.violations else 0
+
+
+def _add_qal(sub):
+    """--q --a --lambda --json: the closed-form parameters and the output format."""
+    sub.add_argument("--q", required=True)
+    sub.add_argument("--a", type=float, default=0.0)
+    sub.add_argument("--lambda", dest="lam", type=float, required=True)
+    sub.add_argument("--json", action="store_true")
 
 
 def _add_generator_source(sub):
@@ -253,18 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_resolve)
 
     p = subs.add_parser("bounds", help="closed-form constants for (q, a, lambda)")
-    p.add_argument("--q", required=True)
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--json", action="store_true")
+    _add_qal(p)
     p.set_defaults(func=cmd_bounds)
 
     p = subs.add_parser("order", help="starlikeness order certification")
-    p.add_argument("--q", required=True)
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    _add_qal(p)
     p.add_argument("--rho", type=float, default=None, help="radius bound (default: distortion)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_order)
 
     p = subs.add_parser("fig1", help='emit CSV "lambda,distortion" along a lambda grid')
@@ -311,10 +296,8 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except IntegrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, ConfigError, ResolventLabError, OSError, ValueError) as exc:
+    except (ResolventLabError, OSError, ValueError, MemoryError) as exc:
+        # MemoryError: a count too large for memory, such as n_angles = 1e15
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

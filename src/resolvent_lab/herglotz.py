@@ -29,20 +29,19 @@ TWO_PI = 2.0 * math.pi
 # |1 - z conj(zeta)| below this means we are numerically on a kernel pole.
 POLE_GUARD = 1e-14
 
-def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Atomic data defining p (hence f(z) = p(z) z) with Re p >= a.
 
     atoms  -- tuple of (theta_k, weight_k); thetas wrapped into [0, 2*pi),
-              weights positive and renormalized to sum to 1 at construction.
+              weights positive with a finite total, renormalized to sum to
+              1 at construction.
     a      -- accretivity floor, >= 0.
     scale  -- Re p(0) - a, >= 0.  scale == 0 gives the constant p == q.
     gamma  -- Im p(0).
 
-    Re q >= a holds structurally: q = (a + scale) + 1j*gamma with scale >= 0.
+    Every value is finite, and so is q: Re q >= a holds structurally, since
+    q = (a + scale) + 1j*gamma with scale >= 0.
     """
 
     atoms: tuple
@@ -53,7 +52,7 @@ class GeneratorSpec:
     def __post_init__(self):
         try:
             raw = [(float(t), float(w)) for t, w in self.atoms]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"atoms must be (theta, weight) pairs: {exc}") from exc
         if not raw:
             raise ConfigError("at least one atom is required")
@@ -63,21 +62,23 @@ class GeneratorSpec:
             if w <= 0.0:
                 raise ConfigError(f"atom weight must be positive, got {w}")
         total = sum(w for _, w in raw)
+        if not math.isfinite(total):
+            raise ConfigError(f"atom weights must have a finite total, got {total}")
         if abs(total - 1.0) <= 1e-12:
             total = 1.0  # keep construction idempotent for round-trips
-        canon = tuple((t % TWO_PI, w / total) for t, w in raw)
+        object.__setattr__(self, "atoms", tuple((t % TWO_PI, w / total) for t, w in raw))
         for name in ("a", "scale", "gamma"):
-            v = getattr(self, name)
-            if not _finite(float(v)):
+            try:
+                v = float(getattr(self, name))
+            except (TypeError, ValueError, OverflowError):
+                v = math.nan
+            if not math.isfinite(v):
                 raise ConfigError(f"{name} must be a finite real number")
-        if self.a < 0.0:
-            raise ConfigError(f"accretivity floor a must be >= 0, got {self.a}")
-        if self.scale < 0.0:
-            raise ConfigError(f"scale must be >= 0, got {self.scale}")
-        object.__setattr__(self, "atoms", canon)
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(self, "gamma", float(self.gamma))
+            if v < 0.0 and name != "gamma":
+                raise ConfigError(f"{name} must be >= 0, got {v}")
+            object.__setattr__(self, name, v)
+        if not math.isfinite(self.a + self.scale):
+            raise ConfigError(f"Re q = a + scale must be finite, got {self.a + self.scale}")
 
     @property
     def q(self) -> complex:
@@ -171,25 +172,25 @@ def _check_in_disk(z, what: str = "evaluation"):
     if not inside.all():
         raise DomainError(f"{what} requires |z| < 1, got |z| = {np.ravel(absz)[~np.ravel(inside)][0]}")
 
+def _evaluate(spec: GeneratorSpec, z, k: int):
+    """Entry k of (p, p') at a scalar or an ndarray of points with |z| < 1."""
+    scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
+    arr = np.asarray(z, dtype=complex)
+    _check_in_disk(arr)
+    v = _p_and_dp(spec, arr)[k]
+    return complex(v[()]) if scalar else v
+
 def eval_p(spec: GeneratorSpec, z):
     """Evaluate p(z) for a scalar or ndarray of points with |z| < 1.
 
     Guarantees Re p(z) >= a up to roundoff.  Evaluation within 1e-14 of a
     kernel pole (z approaching an atom direction) raises DomainError.
     """
-    scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
-    arr = np.asarray(z, dtype=complex)
-    _check_in_disk(arr)
-    p, _ = _p_and_dp(spec, arr)
-    return complex(p[()]) if scalar else p
+    return _evaluate(spec, z, 0)
 
 def eval_p_prime(spec: GeneratorSpec, z):
     """Evaluate p'(z) = 2*scale * sum_k m_k conj(zeta_k) / (1 - z conj(zeta_k))^2."""
-    scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
-    arr = np.asarray(z, dtype=complex)
-    _check_in_disk(arr)
-    _, dp = _p_and_dp(spec, arr)
-    return complex(dp[()]) if scalar else dp
+    return _evaluate(spec, z, 1)
 
 def value_disk(spec: GeneratorSpec, r: float) -> Disk:
     """Closed disk containing p(z) for every |z| = r.
@@ -299,6 +300,7 @@ def spec_to_dict(spec: GeneratorSpec) -> dict:
     }
 
 def spec_from_dict(data: dict) -> GeneratorSpec:
+    """Build a spec from its JSON form, dropping atoms of weight 0; GeneratorSpec checks the values."""
     if not isinstance(data, dict):
         raise ConfigError("generator spec must be a JSON object")
     missing = {"atoms", "a", "scale", "gamma"} - set(data)
@@ -310,29 +312,26 @@ def spec_from_dict(data: dict) -> GeneratorSpec:
     pairs = []
     for entry in atoms:
         try:
-            t, w = float(entry["theta"]), float(entry["weight"])
-        except (TypeError, KeyError, ValueError) as exc:
+            pairs.append((float(entry["theta"]), float(entry["weight"])))
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad atom entry {entry!r}: {exc}") from exc
-        if not (math.isfinite(t) and math.isfinite(w)):
-            raise ConfigError(f"non-finite atom entry {entry!r}")
-        if w < 0.0:
-            raise ConfigError(f"negative atom weight {w}")
-        pairs.append((t, w))
-    if sum(w for _, w in pairs) <= 0.0:
-        raise ConfigError("atom weights must have positive total mass")
-    pairs = [(t, w) for t, w in pairs if w > 0.0]
     for name in ("a", "scale", "gamma"):
         if isinstance(data[name], bool) or not isinstance(data[name], (int, float)):
             raise ConfigError(f"{name} must be a real number, got {data[name]!r}")
-    return GeneratorSpec(atoms=tuple(pairs), a=data["a"], scale=data["scale"], gamma=data["gamma"])
+    return GeneratorSpec(
+        atoms=tuple((t, w) for t, w in pairs if w != 0.0), a=data["a"], scale=data["scale"], gamma=data["gamma"]
+    )
 
-def load_spec(path) -> GeneratorSpec:
+def _read_json(path):
+    """The JSON value in a file; invalid JSON is a ConfigError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    return spec_from_dict(data)
+
+def load_spec(path) -> GeneratorSpec:
+    return spec_from_dict(_read_json(path))
 
 def save_spec(spec: GeneratorSpec, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:

@@ -48,6 +48,7 @@ from .herglotz import GeneratorSpec, _check_in_disk, _p_and_dp, rotate_generator
 
 DEFAULT_TOL = 1e-12
 MAX_ITER = 10_000
+_MIN_TOL = 1e-14
 
 # Reject a Newton step when |F'| falls below this; cannot occur for
 # Re p >= 0 away from pathologies (F' = H' of a univalent H), but guarded.
@@ -100,8 +101,8 @@ def _validate_common(lam, tol: float, max_iter):
     bad = ~(np.isfinite(lam) & (lam > 0.0))
     if bad.any():
         raise DomainError(f"lambda must be positive and finite, got {lam[bad].flat[0]}")
-    if not np.isfinite(tol) or tol < 1e-14:
-        raise ConfigError(f"tolerance must be >= 1e-14, got {tol}")
+    if not np.isfinite(tol) or tol < _MIN_TOL:
+        raise ConfigError(f"tolerance must be >= {_MIN_TOL:g}, got {tol}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
         raise ConfigError(f"max_iter must be an integer >= 0, got {max_iter!r}")
 

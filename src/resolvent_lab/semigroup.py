@@ -21,14 +21,19 @@ flow at time t with an O(1/n) gap, checked empirically against the
 integrated trajectory.  A ladder of n values shares one integration and
 composes all its rungs together, one grid solve per step.
 
-Both integrators take 0 <= t_end <= MAX_T_END: once |u| reaches the
-absolute tolerance, stability holds the steps to order 1, so the step
-count grows like t_end (0.86 s at 1e4 on a 2-core machine, 93 s at 1e6).
-The tolerance must be finite and at least MIN_ODE_TOL, and n_eval >= 2.
+Both integrators bound the work of one call: t_end * max(1, |kappa|) must
+lie in [0, MAX_T_END], where kappa = q / (1 + lambda q) is the decay rate
+of the flow near 0 (q for the plain flow, lambda = 0).  Once |u| reaches
+the absolute tolerance, stability holds the steps to order 1 / |kappa|,
+so RK45's step count grows like |kappa| t_end: at q = 1, 0.86 s at
+t_end = 1e4 on a 2-core machine and 93 s at 1e6; at t_end = 1, 10 s at
+q = 1e5 and 93 s at q = 1e6.  The tolerance must be finite and at least
+MIN_ODE_TOL, and n_eval >= 2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +45,8 @@ from .resolvent import iterate_resolvent, solve_resolvent
 DEFAULT_ODE_TOL = 1e-9
 MIN_ODE_TOL = 1e-13
 MAX_T_END = 1e4
+# The flow endpoint that the product-formula gaps are measured against.
+_LADDER_ODE_TOL = 1e-11
 
 # Trajectories whose integration variable w comes this close to an atom
 # direction (|1 - w conj(zeta)| below the threshold) abort with a partial
@@ -90,8 +97,11 @@ def _flow(spec, lam, z0, t_end, tol, n_eval):
     z0, t_end, tol, n_eval = complex(z0), float(t_end), float(tol), int(n_eval)
     if not abs(z0) < 1.0:
         raise DomainError(f"initial point requires |z0| < 1, got {abs(z0)}")
-    if not 0.0 <= t_end <= MAX_T_END:
-        raise DomainError(f"t_end must lie in [0, {MAX_T_END:g}], got {t_end}")
+    kappa = spec.q / (1.0 + lam * spec.q)
+    rate = max(1.0, math.hypot(kappa.real, kappa.imag))
+    if not 0.0 <= t_end <= MAX_T_END / rate:
+        raise DomainError(f"t_end must lie in [0, {MAX_T_END:g} / max(1, |q / (1 + lambda q)|)] = "
+                          f"[0, {MAX_T_END / rate:g}], got {t_end}")
     if not (np.isfinite(tol) and tol >= MIN_ODE_TOL):
         raise DomainError(f"tol must be finite and >= {MIN_ODE_TOL:g}, got {tol}")
     if n_eval < 2:
@@ -206,37 +216,25 @@ class ProductGap:
     gap: float
 
 
-def _flow_endpoint(spec, z0, t, ns, integrator_tol):
+def _flow_endpoint(spec, z0, t, ns):
     """u(t, z0) for a product-formula check, once the composition counts are checked."""
     if min(ns, default=1) < 1:
         raise DomainError(f"composition count must be >= 1, got {min(ns)}")
-    return integrate(spec, z0, t, tol=integrator_tol, n_eval=2).endpoint
+    return integrate(spec, z0, t, tol=_LADDER_ODE_TOL, n_eval=2).endpoint
 
 
-def product_formula(
-    spec: GeneratorSpec,
-    z0: complex,
-    t: float,
-    n: int,
-    integrator_tol: float = 1e-11,
-) -> ProductGap:
+def product_formula(spec: GeneratorSpec, z0: complex, t: float, n: int) -> ProductGap:
     """Gap |G_{t/n}^(n)(z0) - u(t, z0)|; empirically O(1/n)."""
     n = int(n)
-    integrated = _flow_endpoint(spec, z0, t, [n], integrator_tol)
+    integrated = _flow_endpoint(spec, z0, t, [n])
     iterated = iterate_resolvent(spec, t / n, z0, n) if t else integrated
     return ProductGap(iterated=iterated, integrated=integrated, gap=abs(iterated - integrated))
 
 
-def ladder_gaps(
-    spec: GeneratorSpec,
-    z0: complex,
-    t: float,
-    ns=(8, 16, 32, 64, 128),
-    integrator_tol: float = 1e-11,
-):
+def ladder_gaps(spec: GeneratorSpec, z0: complex, t: float, ns=(8, 16, 32, 64, 128)):
     """Product-formula gaps [(n, gap)] along an n-ladder: one flow endpoint, all rungs composed together."""
     ns = [int(n) for n in ns]
-    endpoint = _flow_endpoint(spec, z0, t, ns, integrator_tol)
+    endpoint = _flow_endpoint(spec, z0, t, ns)
     iterated = iterate_resolvent(spec, t / np.array(ns), z0, ns) if t else [endpoint] * len(ns)
     return [(n, abs(complex(u) - endpoint)) for n, u in zip(ns, iterated)]
 

@@ -50,6 +50,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -81,7 +82,7 @@ from .herglotz import (
     spec_to_dict,
     value_disk,
 )
-from .resolvent import GridSolution, solve_resolvent_grid
+from .resolvent import _MIN_TOL, GridSolution, solve_resolvent_grid
 from .semigroup import integrate, ladder_gaps
 # starlike_functional_grid is not called here; it stays bound in this
 # namespace for code that wraps the library's functions where callers look
@@ -92,8 +93,8 @@ DEFAULT_SEED = 1729
 _MAX_RECORDED = 100
 # The solvers stop on the residual |F|.  On the planted sharp case the
 # forward error is about 22 times the residual, so a residual of 1e-11
-# keeps it under the 1e-9 claim tolerance; 1e-14 is the solver's floor.
-_SOLVER_TOL_RANGE = (1e-14, 1e-11)
+# keeps it under the 1e-9 claim tolerance; the solver's floor is the lower end.
+_SOLVER_TOL_RANGE = (_MIN_TOL, 1e-11)
 
 
 def default_seed() -> int:
@@ -108,15 +109,23 @@ def default_seed() -> int:
 
 
 def _has_type_of(value, default) -> bool:
-    """True when a JSON value has the type of a SuiteConfig default (an int is a float too)."""
+    """True when a value has the type of a SuiteConfig default (an int is a float too, if a double holds it)."""
     if isinstance(value, bool) or isinstance(default, bool):
         return type(value) is type(default)
-    return isinstance(value, int) if isinstance(default, int) else isinstance(value, (int, float))
+    if isinstance(default, int):
+        return isinstance(value, int)
+    return isinstance(value, float) or isinstance(value, int) and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Knobs shared by all suites; per-suite meaning noted inline."""
+    """Knobs shared by all suites; per-suite meaning noted inline.
+
+    A config is checked at construction, the same way for every suite:
+    each value has the type of its default, lies in range, the ladder
+    doubles at every rung, and the sampling ranges make a ``SampleConfig``.
+    A zero count is left to ``run_suite``.
+    """
 
     n_generators: int = 40
     n_lambdas: int = 12
@@ -125,10 +134,10 @@ class SuiteConfig:
     n_angles: int = 64
     n_random: int = 176
     r_max: float = 0.999
-    max_atoms: int = 6
-    a_range: tuple = (0.0, 1.0)
-    scale_range: tuple = (0.0, 2.0)
-    gamma_range: tuple = (-1.0, 1.0)
+    max_atoms: int = SampleConfig.max_atoms
+    a_range: tuple = SampleConfig.a_range
+    scale_range: tuple = SampleConfig.scale_range
+    gamma_range: tuple = SampleConfig.gamma_range
     solver_tol: float = 1e-12
     # ODE-flavoured suites
     n_trajectories: int = 4
@@ -139,7 +148,15 @@ class SuiteConfig:
     negative_control: bool = False
 
     def __post_init__(self):
-        """Range checks (``from_dict`` checks the types first); a zero count is left to ``run_suite``."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, tuple):
+                ok = isinstance(value, tuple) and (len(value) == 2 or f.name == "ladder")
+                ok = ok and all(_has_type_of(v, f.default[0]) for v in value)
+            else:
+                ok = _has_type_of(value, f.default)
+            if not ok:
+                raise ConfigError(f"config key {f.name!r} must look like {f.default!r}, got {value!r}")
         counts = [(f.name, getattr(self, f.name)) for f in dataclasses.fields(self) if type(f.default) is int]
         for key, n in counts + [("ladder", n) for n in self.ladder]:
             if n < 0:
@@ -151,24 +168,19 @@ class SuiteConfig:
         lo, hi = _SOLVER_TOL_RANGE
         if not lo <= self.solver_tol <= hi:
             raise ConfigError(f"solver_tol must lie in [{lo:g}, {hi:g}], got {self.solver_tol}")
+        # product_formula compares gap(2n) with gap(n)
+        if any(n2 != 2 * n1 for n1, n2 in zip(self.ladder, self.ladder[1:])):
+            raise ConfigError(f"each ladder rung must double the one before, got {list(self.ladder)}")
+        self.sample_config()
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
+        """Build a config from its JSON form: an object with known keys, lists read as tuples."""
         if not isinstance(data, dict):
             raise ConfigError("suite config must be a JSON object")
-        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-        unknown = set(data) - set(defaults)
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in data.items():
-            default = defaults[key]
-            if isinstance(default, tuple):
-                ok = isinstance(value, (list, tuple)) and (len(value) == 2 or key == "ladder")
-                ok = ok and all(_has_type_of(v, default[0]) for v in value)
-            else:
-                ok = _has_type_of(value, default)
-            if not ok:
-                raise ConfigError(f"config key {key!r} must look like {default!r}, got {value!r}")
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
     def sample_config(self) -> SampleConfig:
@@ -246,10 +258,10 @@ class _Collector:
             )
 
 
-def _spec_pool(seed: int, cfg: SuiteConfig, planted: tuple, scfg: SampleConfig):
-    rng = np.random.default_rng([seed, 0xA5])
-    children = rng.integers(0, 2**62, size=cfg.n_generators)
-    return list(planted) + [sample_generator(int(s), scfg) for s in children]
+def _spec_pool(seed: int, tag: int, count: int, planted: tuple, scfg: SampleConfig):
+    """The planted specs, then ``count`` random generators drawn from the stream (seed, tag)."""
+    rng = np.random.default_rng([seed, tag])
+    return list(planted) + [sample_generator(int(s), scfg) for s in rng.integers(0, 2**62, size=count)]
 
 
 def _sample_z(seed: int, idx: int, cfg: SuiteConfig) -> np.ndarray:
@@ -269,10 +281,6 @@ def _sample_z(seed: int, idx: int, cfg: SuiteConfig) -> np.ndarray:
     axis = np.array([cfg.r_max, -cfg.r_max, 1j * cfg.r_max, -1j * cfg.r_max])
     zs = np.concatenate([grid, rr * np.exp(1j * aa), axis])
     return zs[zs != 0]
-
-
-def _lambda_grid(cfg: SuiteConfig) -> np.ndarray:
-    return np.geomspace(cfg.lambda_range[0], cfg.lambda_range[1], cfg.n_lambdas)
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +315,10 @@ def _sweep(row: _Sweep, cfg: SuiteConfig, seed: int):
     the number of generators and the samples checked per generator.
     """
     col = _Collector(row.tol)
-    specs = _spec_pool(seed, cfg, row.planted, row.sample_cfg(cfg))
+    specs = _spec_pool(seed, 0xA5, cfg.n_generators, row.planted, row.sample_cfg(cfg))
     zsets = [_sample_z(seed, i, cfg) for i in range(len(specs))]
-    for i, run in itertools.groupby(row.passes(specs, _lambda_grid(cfg)), key=lambda p: p[0]):
+    grid = np.geomspace(*cfg.lambda_range, cfg.n_lambdas)
+    for i, run in itertools.groupby(row.passes(specs, grid), key=lambda p: p[0]):
         spec, zs = specs[i], zsets[i]
         lams = np.array([lam for _, lam in run], dtype=float)
         sol = solve_resolvent_grid(spec, lams[:, None], zs[None, :], tol=cfg.solver_tol)
@@ -332,11 +341,8 @@ def _row(sol: GridSolution, k: int) -> GridSolution:
 
 def _est1_samples(cfg: SuiteConfig) -> SampleConfig:
     """The a = 0 class, with scale kept off 0 (est1 is about Re q > 0)."""
-    return dataclasses.replace(
-        cfg.sample_config(),
-        a_range=(0.0, 0.0),
-        scale_range=(max(cfg.scale_range[0], 0.05), cfg.scale_range[1]),
-    )
+    lo, hi = (max(s, 0.05) for s in cfg.scale_range)
+    return dataclasses.replace(cfg.sample_config(), a_range=(0.0, 0.0), scale_range=(lo, hi))
 
 
 def _f_compose_claim(spec, lam, zs, sol):
@@ -388,6 +394,7 @@ def _starlike_t_claim(spec, lam, zs, sol):
 
 _SHARP = extremal_generator(1.0, 0.0)
 _SHARP_PAIR = (constant_generator(1.0), _SHARP)
+_QUARTER = extremal_generator(1.0, 0.25)
 
 _SWEEPS = {
     "distortion": _Sweep(
@@ -432,7 +439,7 @@ _SWEEPS = {
         passes=_starlike_half_passes,
     ),
     "starlike_T": _Sweep(
-        planted=(extremal_generator(1.0, 0.25),),
+        planted=(_QUARTER,),
         claim=_starlike_t_claim,
         control=lambda b: _STARLIKE_T_CONTROL_FACTOR * b,
         passes=_starlike_t_passes,
@@ -454,13 +461,11 @@ def _suite_herglotz_equiv(cfg: SuiteConfig, seed: int):
     relative to |center| + radius, which bounds every quantity compared on
     the circle.
     """
-    specs = _spec_pool(seed, cfg, (_SHARP,), cfg.sample_config())
+    specs = _spec_pool(seed, 0xA5, cfg.n_generators, (_SHARP,), cfg.sample_config())
     col = _Collector(1e-10)
     factor = 0.99 if cfg.negative_control else 1.0
     radii = np.geomspace(0.1, cfg.r_max, 2 * cfg.n_radii)
-    n_per = 0
     for spec in specs:
-        n_per = 0
         for r in radii:
             ang = 2.0 * np.pi * np.arange(cfg.n_angles) / cfg.n_angles
             zs = r * np.exp(1j * ang)
@@ -474,8 +479,7 @@ def _suite_herglotz_equiv(cfg: SuiteConfig, seed: int):
             col.add_array(p.real - lo, lo, p.real, spec, None, zs, tol)
             col.add_array(factor * hi - p.real, factor * hi, p.real, spec, None, zs, tol)
             col.add_array(p.real - spec.a, spec.a, p.real, spec, None, zs, tol)
-            n_per += 4 * zs.size
-    return col, len(specs), n_per
+    return col, len(specs), col.count // len(specs)
 
 
 def _suite_squeeze(cfg: SuiteConfig, seed: int):
@@ -485,24 +489,16 @@ def _suite_squeeze(cfg: SuiteConfig, seed: int):
     the falsified envelope must trip.
     """
     col = _Collector(1e-8)
-    scfg = cfg.sample_config()
-    planted = [constant_generator(1.0), constant_generator(1.0 + 1.0j), extremal_generator(1.0, 0.25)]
-    rng = np.random.default_rng([seed, 0xE0])
-    specs = planted + [
-        sample_generator(int(s), scfg) for s in rng.integers(0, 2**62, size=cfg.n_trajectories)
-    ]
+    planted = (constant_generator(1.0), constant_generator(1.0 + 1.0j), _QUARTER)
+    specs = _spec_pool(seed, 0xE0, cfg.n_trajectories, planted, cfg.sample_config())
     factor = 0.99 if cfg.negative_control else 1.0
     z0s = [0.6 + 0.0j, -0.45 + 0.45j]
-    n_per = 0
     for spec in specs:
-        n_per = 0
         for z0 in z0s:
             traj = integrate(spec, z0, cfg.t_end, tol=1e-9)
-            margins = factor * traj.envelope(spec.a) - np.abs(traj.points)
-            col.add_array(margins, factor * traj.envelope(spec.a), np.abs(traj.points), spec, None,
-                          np.full(traj.points.shape, z0))
-            n_per += traj.points.size
-    return col, len(specs), n_per
+            env, r = factor * traj.envelope(spec.a), np.abs(traj.points)
+            col.add_array(env - r, env, r, spec, None, np.full(traj.points.shape, z0))
+    return col, len(specs), col.count // len(specs)
 
 
 _PRODUCT_RATIO_BOUND = 0.8
@@ -516,16 +512,10 @@ def _suite_product_formula(cfg: SuiteConfig, seed: int):
     Asymptotically the gap is O(1/n) so consecutive ratios sit near 1/2;
     pairs with gaps at the integrator noise floor are skipped.  Control:
     require ratio <= 0.25, which the planted single-atom ladder (ratios
-    near 1/2) must fail.  Each rung must double the one before.
+    near 1/2) must fail.  ``SuiteConfig`` makes each rung double the one before.
     """
-    if any(n2 != 2 * n1 for n1, n2 in zip(cfg.ladder, cfg.ladder[1:])):
-        raise ConfigError(f"each ladder rung must double the one before, got {list(cfg.ladder)}")
     col = _Collector(0.0)
-    scfg = cfg.sample_config()
-    rng = np.random.default_rng([seed, 0xF0])
-    specs = [extremal_generator(1.0, 0.0), constant_generator(1.0)] + [
-        sample_generator(int(s), scfg) for s in rng.integers(0, 2**62, size=cfg.n_trajectories)
-    ]
+    specs = _spec_pool(seed, 0xF0, cfg.n_trajectories, (_SHARP, constant_generator(1.0)), cfg.sample_config())
     bound = _PRODUCT_RATIO_CONTROL if cfg.negative_control else _PRODUCT_RATIO_BOUND
     z0s = [0.5 + 0.0j, -0.35 + 0.35j]
     n_per = 0

@@ -1,8 +1,12 @@
 """CLI contract: subcommands, exit codes, CSV formats, complex parsing."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -84,6 +88,25 @@ class TestResolve:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"atoms": [{"theta": 0.0, "weight": 1e308}, {"theta": 1.0, "weight": 1e308}], "a": 0.0, "scale": 1.0,
+             "gamma": 0.0},
+            {"atoms": [{"theta": 0.0, "weight": 1.0}], "a": 1e308, "scale": 1e308, "gamma": 0.0},
+        ],
+        ids=["weight-total-overflows", "q-overflows"],
+    )
+    def test_overflowing_spec_exits_2(self, capsys, tmp_path, data):
+        # both once ran: exit 0 with g = -0.5 at lambda = 3, or 10 000 iterations and exit 3
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(data))
+        for lam, z in (("3", "0.9"), ("1", "0.5")):
+            code, out, err = run_cli(capsys, "resolve", "--spec-file", str(path), "--lambda", lam, "--z", z)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_exactly_one_source(self, capsys, tmp_path):
         path = tmp_path / "s.json"
@@ -250,6 +273,10 @@ class TestSemigroupCommand:
         # a NaN tolerance once kept the adaptive stepper running forever
         self._assert_exits_2_at_once("--tol", "nan")
 
+    def test_large_q_exits_2_at_once(self):
+        # the step count grows like |q| t_end: 93 s at q = 1e6, t_end = 1
+        self._assert_exits_2_at_once("--q", "1e6")
+
 
 class TestVerifyCommand:
     CONFIG = {
@@ -294,6 +321,30 @@ class TestVerifyCommand:
     def test_bad_config_exit_2(self, capsys, tmp_path, override):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**self.CONFIG, **override}))
+        code, out, err = run_cli(capsys, "verify", "--suite", "distortion", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "suite,override",
+        [("thresholds", {"max_atoms": 0}), ("distortion", {"ladder": [8, 9, 10]}),
+         ("thresholds", {"scale_range": [2.0, 1.0]})],
+        ids=["zero-max-atoms", "ladder-in-distortion", "empty-scale-range"],
+    )
+    def test_config_is_checked_for_every_suite(self, capsys, tmp_path, suite, override):
+        # a suite that never reads the key still rejects the config
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.CONFIG, **override}))
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_count_too_large_for_memory_exit_2(self, capsys, tmp_path):
+        # 1e15 angles ask numpy for 7 PiB, which it refuses at once
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_angles": 10**15}))
         code, out, err = run_cli(capsys, "verify", "--suite", "distortion", "--config", str(cfg))
         assert code == 2
         assert out == ""
@@ -354,3 +405,58 @@ def test_startup_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "ok\n"
+
+
+# ---------------------------------------------------------------------------
+# golden transcript: stdout of successful commands, byte for byte
+# ---------------------------------------------------------------------------
+
+GOLDEN_CLI_PATH = pathlib.Path(__file__).with_name("golden_cli.json")
+GOLDEN_SPEC = {
+    "atoms": [{"theta": 0.4, "weight": 2.0}, {"theta": 3.5, "weight": 1.0}],
+    "a": 0.3,
+    "scale": 0.9,
+    "gamma": -0.2,
+}
+# "{spec}" and "{config}" stand for files holding GOLDEN_SPEC and TestVerifyCommand.CONFIG
+GOLDEN_ARGV = [
+    "resolve --q 1 --a 0 --lambda 1 --z 0.5",
+    "resolve --q 1+0.5i --a 0.25 --lambda 2 --z 0.3-0.4i --json",
+    "resolve --spec-file {spec} --lambda 0.7 --z=-0.6+0.2i",
+    "bounds --q 1 --a 0.25 --lambda 2",
+    "bounds --q 1+0.5i --a 0.1 --lambda 3 --json",
+    "order --q 1 --a 0 --lambda 3.5",
+    "order --q 1 --a 0.25 --lambda 2 --rho 0.4 --json",
+    "fig1 --q 1 --a 0.025 --lambda-min 0.5 --lambda-max 4 --n-points 8",
+    "fig2 --s-min 0.1 --s-max 4 --n-points 6",
+    "semigroup --q 1+0.5i --a 0.25 --z0 0.5+0.2i --t-end 2",
+    "semigroup --spec-file {spec} --z0=-0.4+0.3i --t-end 1 --tol 1e-10",
+    "verify --suite thresholds --config {config} --seed 5",
+    "verify --suite starlike_T --config {config} --seed 3",
+]
+
+
+def golden_stdout(command: str, tmp_dir) -> str:
+    """Run one transcript command in process and return its stdout, the report's ``elapsed`` line removed."""
+    paths = {"spec": tmp_dir / "spec.json", "config": tmp_dir / "config.json"}
+    paths["spec"].write_text(json.dumps(GOLDEN_SPEC))
+    paths["config"].write_text(json.dumps(TestVerifyCommand.CONFIG))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([arg.format(**paths) for arg in command.split()])
+    assert code == 0, command
+    return re.sub(r'^  "elapsed": .*\n', "", out.getvalue(), flags=re.M)
+
+
+@pytest.mark.parametrize("command", GOLDEN_ARGV)
+def test_golden_transcript(command, tmp_path):
+    # regenerate with `PYTHONPATH=src python tests/test_cli.py` and list every difference
+    assert golden_stdout(command, tmp_path) == json.loads(GOLDEN_CLI_PATH.read_text())[command]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        golden = {command: golden_stdout(command, pathlib.Path(tmp)) for command in GOLDEN_ARGV}
+    GOLDEN_CLI_PATH.write_text(json.dumps(golden, indent=1) + "\n")

@@ -278,11 +278,28 @@ class TestJsonInterchange:
             {"atoms": [{"theta": 0.0, "weight": float("nan")}], "a": 0, "scale": 1, "gamma": 0},
             {"atoms": [{"theta": 0.0}], "a": 0, "scale": 1, "gamma": 0},
             {"a": 0, "scale": 1, "gamma": 0},
+            # the weights sum to inf and would normalise to 0, leaving Re p = a - scale
+            {"atoms": [{"theta": 0.0, "weight": 1e308}, {"theta": 1.0, "weight": 1e308}], "a": 0, "scale": 1,
+             "gamma": 0},
+            # Re q = a + scale overflows
+            {"atoms": [{"theta": 0.0, "weight": 1.0}], "a": 1e308, "scale": 1e308, "gamma": 0},
+            # integers no double holds
+            {"atoms": [{"theta": 0.0, "weight": 1.0}], "a": 10**400, "scale": 1, "gamma": 0},
+            {"atoms": [{"theta": 10**400, "weight": 1.0}], "a": 0, "scale": 1, "gamma": 0},
+            # a NaN weight beside a positive one reaches GeneratorSpec
+            {"atoms": [{"theta": 0.0, "weight": 1.0}, {"theta": 1.0, "weight": float("nan")}], "a": 0,
+             "scale": 1, "gamma": 0},
+            {"atoms": [{"theta": 0.0, "weight": 0.0}], "a": 0, "scale": 1, "gamma": 0},
         ],
     )
     def test_rejects_malformed(self, data):
         with pytest.raises(ConfigError):
             spec_from_dict(data)
+
+    def test_drops_zero_weight_atoms(self):
+        data = {"atoms": [{"theta": 0.0, "weight": 0.0}, {"theta": 1.0, "weight": 2.0}], "a": 0, "scale": 1,
+                "gamma": 0}
+        assert spec_from_dict(data).atoms == ((1.0, 1.0),)
 
     @pytest.mark.parametrize("key", ["a", "scale", "gamma"])
     @pytest.mark.parametrize("value", ["0.5", None, True, [0.5]])

@@ -5,6 +5,7 @@ import pytest
 
 from resolvent_lab import (
     DomainError,
+    GeneratorSpec,
     IntegrationError,
     constant_generator,
     composed_accretivity,
@@ -70,6 +71,30 @@ class TestIntegrate:
             integrate(single_atom, 0.5, t_end)
         with pytest.raises(DomainError):
             integrate_composed(single_atom, 1.0, 0.5, t_end)
+
+    @pytest.mark.parametrize(
+        "spec,lam",
+        [
+            (extremal_generator(1e6, 0.0), 1e-9),
+            (constant_generator(1e6), 1e-9),
+            (GeneratorSpec(atoms=((0.0, 1.0),), a=0.0, scale=1e308, gamma=1e308), 1e-9),
+        ],
+        ids=["atom-q-1e6", "constant-q-1e6", "q-near-overflow"],
+    )
+    def test_both_integrators_bound_rate_times_t_end(self, spec, lam):
+        # RK45 takes about |q / (1 + lam q)| * t_end steps; q = 1e6 at t_end = 1 once took 93 s
+        for t_end in (1.0, 2.0 * MAX_T_END / 1e6):
+            with pytest.raises(DomainError, match="lambda q"):
+                integrate(spec, 0.5, t_end)
+            with pytest.raises(DomainError, match="lambda q"):
+                integrate_composed(spec, lam, 0.5, t_end)
+        assert integrate(spec, 0.5, 0.0).endpoint == 0.5
+
+    def test_composed_rate_falls_with_lambda(self):
+        # q / (1 + lam q) is about 1 / lam, so a large q composes with lam = 1 at t_end = 1
+        traj = integrate_composed(constant_generator(1e6), 1.0, 0.5, 1.0)
+        exact = 0.5 * np.exp(-1e6 / (1.0 + 1e6))
+        assert abs(traj.endpoint - exact) <= 1e-6  # w's absolute tolerance 1e-12, times 1 + lam q
 
     @pytest.mark.parametrize("z0", [1.0, -0.6 + 0.8j, complex(float("nan"), 0.0)])
     def test_both_integrators_reject_bad_start(self, single_atom, z0):

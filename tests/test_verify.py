@@ -117,39 +117,52 @@ def test_config_from_dict_round_trip():
         SuiteConfig.from_dict({"bogus_key": 1})
 
 
-@pytest.mark.parametrize(
-    "data",
-    [
-        {"n_generators": "3"},
-        {"n_generators": 3.0},
-        {"n_lambdas": True},
-        {"ladder": "abc"},
-        {"ladder": [8, "16"]},
-        {"lambda_range": [0.1]},
-        {"lambda_range": "0.1,5"},
-        {"r_max": "0.9"},
-        {"negative_control": 1},
-        [],
-        {"n_angles": -3},
-        {"n_generators": -1},
-        {"n_random": -5},
-        {"ladder": [-8, -16]},
-        {"r_max": -0.5},
-        {"r_max": 0.0},
-        {"r_max": 1},
-        {"r_max": float("nan")},
-        {"lambda_range": [0.0, 5.0]},
-        {"lambda_range": [0.1, -5.0]},
-        {"lambda_range": [0.1, float("inf")]},
-        {"solver_tol": 1e300},
-        {"solver_tol": 1e-3},
-        {"solver_tol": 1e-15},
-        {"solver_tol": float("nan")},
-    ],
-)
+BAD_CONFIGS = [
+    {"n_generators": "3"},
+    {"n_generators": 3.0},
+    {"n_lambdas": True},
+    {"ladder": "abc"},
+    {"ladder": [8, "16"]},
+    {"lambda_range": [0.1]},
+    {"lambda_range": "0.1,5"},
+    {"r_max": "0.9"},
+    {"negative_control": 1},
+    [],
+    {"n_angles": -3},
+    {"n_generators": -1},
+    {"n_random": -5},
+    {"ladder": [-8, -16]},
+    {"r_max": -0.5},
+    {"r_max": 0.0},
+    {"r_max": 1},
+    {"r_max": float("nan")},
+    {"lambda_range": [0.0, 5.0]},
+    {"lambda_range": [0.1, -5.0]},
+    {"lambda_range": [0.1, float("inf")]},
+    {"solver_tol": 1e300},
+    {"solver_tol": 1e-3},
+    {"solver_tol": 1e-15},
+    {"solver_tol": float("nan")},
+    # the sampling ranges and the ladder are checked for every suite
+    {"max_atoms": 0},
+    {"scale_range": [2.0, 1.0]},
+    {"a_range": [-1.0, 1.0]},
+    {"ladder": [8, 9, 10]},
+    {"n_lambdas": 2.5},
+    {"t_end": 10**400},
+]
+
+
+@pytest.mark.parametrize("data", BAD_CONFIGS)
 def test_config_from_dict_rejects_wrong_types(data):
     with pytest.raises(ConfigError):
         SuiteConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("data", [d for d in BAD_CONFIGS if isinstance(d, dict)])
+def test_direct_construction_rejects_the_same(data):
+    with pytest.raises(ConfigError):
+        SuiteConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
 
 @pytest.mark.parametrize("name,override", [("distortion", {"n_lambdas": 0}), ("thresholds", {"n_draws": 0})])
