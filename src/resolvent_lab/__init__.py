@@ -63,22 +63,17 @@ from .resolvent import (
     solve_slice,
 )
 from .semigroup import (
-    ProductGap,
     SqueezeReport,
     Trajectory,
-    estimate_accretivity_floor,
     integrate,
     integrate_composed,
     ladder_gaps,
-    product_formula,
     squeeze_check,
 )
 from .starlike import (
     OrderScan,
-    StarlikeSample,
     TheoremComparison,
     empirical_order,
-    starlike_functional,
     starlike_functional_fd,
     starlike_functional_grid,
     theorem_vs_empirical,

@@ -226,6 +226,21 @@ def rho_star(q: complex, a: float, lam: float) -> float:
     return s / (math.sqrt(2.0 * lam * (q.real - a)) + s)
 
 
+def _alpha_beta(q: complex, a: float, lam: float):
+    """alpha = lambda (Re q - a) and beta = lambda a: the parameters of T for the class."""
+    return lam * (q.real - a), lam * a
+
+
+def _t_refines(q: complex, a: float, lam: float, rho: float) -> bool:
+    """Whether T(rho) refines the universal order 1/2: rho < 1 and rho <= rho*, up to one rounding of rho*."""
+    return rho < 1.0 and rho <= rho_star(q, a, lam) + 1e-15
+
+
+def _order(t: float) -> float:
+    """Order of starlikeness 1/(1 + min(T, 1)) from a deviation bound T."""
+    return 1.0 / (1.0 + min(t, 1.0))
+
+
 @dataclass(frozen=True)
 class OrderEstimate:
     """Starlikeness orders implied by a radius bound on the resolvent.
@@ -250,9 +265,9 @@ def starlike_order_from_rho(q: complex, a: float, lam: float, rho: float) -> Ord
     q, a, lam = _validate_qal(q, a, lam)
     if not (0.0 <= rho <= 1.0):
         raise DomainError(f"rho must satisfy 0 <= rho <= 1, got {rho}")
-    if rho < 1.0 and rho <= rho_star(q, a, lam) + 1e-15:
-        t = min(t_function(lam * (q.real - a), lam * a, rho), 1.0)
-        return OrderEstimate(order=1.0 / (1.0 + t), strong_order=2.0 * math.asin(t) / math.pi, refined=True)
+    if _t_refines(q, a, lam, rho):
+        t = min(t_function(*_alpha_beta(q, a, lam), rho), 1.0)
+        return OrderEstimate(order=_order(t), strong_order=2.0 * math.asin(t) / math.pi, refined=True)
     return OrderEstimate(order=0.5, strong_order=1.0, refined=False)
 
 
@@ -311,6 +326,15 @@ class OrderCertificate:
     condition: str  # "i" or "ii"
 
 
+def _certifying_condition(q: complex, a: float, lam: float):
+    """The condition of ``calc_order`` that holds, "i" or "ii", or None when Re q <= 0 or neither does."""
+    if q.real <= 0.0:
+        return None
+    if lam * _abs2(q) >= 2.0 * q.real:
+        return "i" if lam > threshold_m1(q, a) else None
+    return "ii" if a > threshold_m2(q, lam) else None
+
+
 def calc_order(q: complex, a: float, lam: float):
     """Certified starlikeness order 1/(1 + T(distortion)), when available.
 
@@ -320,23 +344,15 @@ def calc_order(q: complex, a: float, lam: float):
     distinguishing "not certified" from an error.
     """
     q, a, lam = _validate_qal(q, a, lam)
-    if q.real <= 0.0:
+    condition = _certifying_condition(q, a, lam)
+    if condition is None:
         return None
-    if lam * _abs2(q) >= 2.0 * q.real:
-        if not lam > threshold_m1(q, a):
-            return None
-        condition = "i"
-    else:
-        if not a > threshold_m2(q, lam):
-            return None
-        condition = "ii"
     if starlike_main_margin(q, a, lam) < -1e-12:
         raise RuntimeError(
             "internal inconsistency: certified condition failed the radius comparison"
         )
     rho = distortion_bound(q, a, lam)
-    t = min(t_function(lam * (q.real - a), lam * a, rho), 1.0)
-    return OrderCertificate(order=1.0 / (1.0 + t), condition=condition)
+    return OrderCertificate(order=_order(t_function(*_alpha_beta(q, a, lam), rho)), condition=condition)
 
 
 def region_boundary(s: float) -> float:
@@ -382,6 +398,7 @@ def distortion_coefficients(q: complex, a: float, lam: float) -> BoundSet:
     """Assemble every closed-form constant for one (q, a, lambda) triple."""
     q, a, lam = _validate_qal(q, a, lam)
     A, B = _ab(q, a, lam)
+    alpha, beta = _alpha_beta(q, a, lam)
     return BoundSet(
         q=q,
         a=a,
@@ -392,8 +409,8 @@ def distortion_coefficients(q: complex, a: float, lam: float) -> BoundSet:
         a_lambda=composed_accretivity(q, a, lam),
         d_lambda=resolvent_accretivity(q, a, lam),
         rho_star=rho_star(q, a, lam),
-        alpha=lam * (q.real - a),
-        beta=lam * a,
+        alpha=alpha,
+        beta=beta,
     )
 
 

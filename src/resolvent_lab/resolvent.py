@@ -22,10 +22,13 @@ does not pay: on the geometric lambda grids of the verification suites
 it took more iterations than the cold start, and far more on the slowest
 points.
 
-``solve_resolvent_grid`` is the one solve path: lambda may vary per point,
-the result carries Q from the final p(w), p'(w), ``iterate_resolvent``
-composes through it and ``solve_resolvent`` is a one-point grid solve.  The
-iterate after k rounds is the w of a run with ``max_iter=k, strict=False``.
+``solve_resolvent_grid`` is the one solve path: lambda is broadcast against
+z and carried as one complex number per point, so a scalar lambda and an
+array of equal lambdas give the same bits.  The result carries Q from the
+final p(w), p'(w); ``iterate_resolvent`` composes through it,
+``solve_resolvent`` is a one-point grid solve and ``solve_slice`` a
+one-point solve of a rotated generator.  The iterate after k rounds is the
+w of a run with ``max_iter=k, strict=False``.
 
 Points converge at very different rates (a few rounds in the interior,
 tens near an atom at small lambda), so the solver works on a shrinking
@@ -96,19 +99,11 @@ class GridSolution:
     Q: np.ndarray
 
 
-def _validate_common(lam, tol: float, max_iter):
-    lam = np.asarray(lam, dtype=float)
-    bad = ~(np.isfinite(lam) & (lam > 0.0))
-    if bad.any():
-        raise DomainError(f"lambda must be positive and finite, got {lam[bad].flat[0]}")
-    if not np.isfinite(tol) or tol < _MIN_TOL:
-        raise ConfigError(f"tolerance must be >= {_MIN_TOL:g}, got {tol}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
-        raise ConfigError(f"max_iter must be an integer >= 0, got {max_iter!r}")
-
-
 def _solve_core(spec, lam, z, tol, max_iter):
     """Newton-with-fallback iteration on a flat complex array; returns w, p(w), p'(w), |F|, iterations.
+
+    ``lam`` is complex, one entry per point: every product with lambda is
+    complex, and a float array would be cast again in every one of them.
 
     A round updates only the active points (|F| > tol).  Once at most half
     of the working set is active, and at least two points are, every
@@ -117,9 +112,6 @@ def _solve_core(spec, lam, z, tol, max_iter):
     """
     out = None  # the full-size w, p, p', |F| and iterations, from the first cut on
     idx = np.arange(z.size)
-    # complex because every product with lambda is complex: a float array
-    # would be cast again in every one of them
-    lam = np.full(z.shape, lam, dtype=complex)
     cap = np.abs(z) + 1e-12
     w = z / (1.0 + lam * spec.q)
     pw, dpw = _p_and_dp(spec, w)
@@ -220,23 +212,27 @@ def solve_resolvent_grid(
     With ``strict`` (default) any unconverged point raises
     NonConvergenceError; otherwise inspect ``converged``.
     """
-    _validate_common(lam, tol, max_iter)
+    lam = np.asarray(lam, dtype=float)
+    bad = ~(np.isfinite(lam) & (lam > 0.0))
+    if bad.any():
+        raise DomainError(f"lambda must be positive and finite, got {lam[bad].flat[0]}")
+    if not np.isfinite(tol) or tol < _MIN_TOL:
+        raise ConfigError(f"tolerance must be >= {_MIN_TOL:g}, got {tol}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ConfigError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     arr = np.asarray(z, dtype=complex)
     _check_in_disk(arr, "resolvent argument")
-    if np.ndim(lam):
-        lam = np.asarray(lam, dtype=float)
-        try:
-            arr, lam = np.broadcast_arrays(arr, lam)
-        except ValueError as exc:
-            msg = f"lambda of shape {lam.shape} does not broadcast against z of shape {arr.shape}"
-            raise DomainError(msg) from exc
-        lam = lam.ravel()
-    flat = arr.ravel()
+    try:
+        arr, lam = np.broadcast_arrays(arr, lam)
+    except ValueError as exc:
+        msg = f"lambda of shape {lam.shape} does not broadcast against z of shape {arr.shape}"
+        raise DomainError(msg) from exc
+    flat, lam = arr.ravel(), lam.astype(complex, order="C").ravel()
     w, pw, dpw, aF, iters = _solve_core(spec, lam, flat, tol, max_iter)
     conv = aF <= tol
     if strict and not conv.all():
         worst = int(np.argmax(aF))
-        z_worst, lam_worst = complex(flat[worst]), float(np.broadcast_to(lam, flat.shape)[worst])
+        z_worst, lam_worst = complex(flat[worst]), float(lam[worst].real)
         raise NonConvergenceError(
             f"{int((~conv).sum())} of {flat.size} points unconverged after {max_iter} iterations; "
             f"worst residual {aF[worst]:.3g} at z = {z_worst}, lambda = {lam_worst}",
@@ -281,14 +277,7 @@ def solve_resolvent(
     )
 
 
-def solve_slice(
-    spec: GeneratorSpec,
-    lam: float,
-    direction_factor: complex,
-    z: complex,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_ITER,
-) -> ResolventSolution:
+def solve_slice(spec: GeneratorSpec, lam: float, direction_factor: complex, z: complex) -> ResolventSolution:
     """Resolvent of the slice multiplier z -> p(z * u) for |u| = 1.
 
     Rotating the slice variable by u multiplies each atom interaction by u,
@@ -300,16 +289,10 @@ def solve_slice(
     if abs(abs(u) - 1.0) > 1e-12:
         raise DomainError(f"direction factor must be unimodular, got |u| = {abs(u)}")
     rotated = rotate_generator(spec, -float(np.angle(u)))
-    return solve_resolvent(rotated, lam, z, tol=tol, max_iter=max_iter)
+    return solve_resolvent(rotated, lam, z)
 
 
-def iterate_resolvent(
-    spec: GeneratorSpec,
-    lam,
-    z,
-    n,
-    tol: float = DEFAULT_TOL,
-):
+def iterate_resolvent(spec: GeneratorSpec, lam, z, n):
     """n-fold composition G_lambda(G_lambda(...(z))); |result| <= |z|.
 
     lam, z and n broadcast: each point takes its own n steps at its own
@@ -322,7 +305,5 @@ def iterate_resolvent(
     w = z.copy()
     for k in range(int(counts.max(initial=0))):
         running = counts > k
-        # a scalar lambda stays a scalar: scalar input keeps the bits of one-point solves
-        step_lam = lams[running] if np.ndim(lam) else lam
-        w[running] = solve_resolvent_grid(spec, step_lam, w[running], tol=tol).w
+        w[running] = solve_resolvent_grid(spec, lams[running], w[running]).w
     return complex(w) if w.ndim == 0 else w

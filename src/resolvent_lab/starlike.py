@@ -20,41 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import distortion_bound, t_function
+from .bounds import _alpha_beta, _t_refines, distortion_bound, t_function
 from .exceptions import DomainError
 from .herglotz import GeneratorSpec
-from .resolvent import DEFAULT_TOL, solve_resolvent_grid
+from .resolvent import solve_resolvent_grid
 
 
-@dataclass(frozen=True)
-class StarlikeSample:
-    """Functional value at one point: Q, |Q - 1|, and arg Q."""
-
-    z: complex
-    Q: complex
-    deviation: float
-    arg_Q: float
-
-
-def starlike_functional_grid(spec: GeneratorSpec, lam: float, z, tol: float = DEFAULT_TOL) -> np.ndarray:
+def starlike_functional_grid(spec: GeneratorSpec, lam: float, z) -> np.ndarray:
     """Vectorized Q over an array of points (Q = 1 exactly at z = 0): the solve's ``Q``."""
-    return solve_resolvent_grid(spec, lam, z, tol=tol).Q
+    return solve_resolvent_grid(spec, lam, z).Q
 
 
-def starlike_functional(spec: GeneratorSpec, lam: float, z: complex, tol: float = DEFAULT_TOL) -> StarlikeSample:
-    """Evaluate Q at one point, with deviation and argument attached."""
-    zc = complex(z)
-    Q = complex(starlike_functional_grid(spec, lam, np.array([zc]), tol=tol)[0])
-    return StarlikeSample(z=zc, Q=Q, deviation=abs(Q - 1.0), arg_Q=math.atan2(Q.imag, Q.real))
-
-
-def starlike_functional_fd(
-    spec: GeneratorSpec,
-    lam: float,
-    z: complex,
-    step: float = 1e-6,
-    tol: float = DEFAULT_TOL,
-) -> complex:
+def starlike_functional_fd(spec: GeneratorSpec, lam: float, z: complex, step: float = 1e-6) -> complex:
     """Independent route to Q: central finite difference of h(z) = G(z).
 
     Q = h / (z h'), with h' approximated by (h(z+d) - h(z-d)) / (2d) along
@@ -68,7 +45,7 @@ def starlike_functional_fd(
     if abs(zc) + step >= 1.0:
         raise DomainError("finite-difference stencil must stay inside the disk")
     pts = np.array([zc, zc + step, zc - step])
-    w = solve_resolvent_grid(spec, lam, pts, tol=tol).w
+    w = solve_resolvent_grid(spec, lam, pts).w
     h_prime = (w[1] - w[2]) / (2.0 * step)
     return complex(w[0] / (zc * h_prime))
 
@@ -142,8 +119,9 @@ def empirical_order(
 class TheoremComparison:
     """Analytic deviation bound versus the sampled maximum deviation.
 
-    baseline_only means the analytic radius reached 1, where T is
-    unbounded and only the universal order-1/2 statement remains.
+    baseline_only means T(rho) does not refine the universal bound
+    |Q - 1| <= 1: rho exceeds rho* (T > 1) or reaches 1 (T unbounded).
+    t_bound and slack are then inf.
     """
 
     rho_used: float
@@ -174,8 +152,8 @@ def theorem_vs_empirical(
     rho = distortion_bound(spec.q, spec.a, lam)
     if use_sampled_sup:
         rho = min(rho, float(np.max(np.abs(sol.w))))
-    baseline = rho >= 1.0 - 1e-14
-    t_bound = math.inf if baseline else t_function(lam * (spec.q.real - spec.a), lam * spec.a, rho)
+    baseline = not _t_refines(spec.q, spec.a, lam, rho)
+    t_bound = math.inf if baseline else t_function(*_alpha_beta(spec.q, spec.a, lam), rho)
     return TheoremComparison(
         rho_used=rho,
         t_bound=t_bound,

@@ -329,8 +329,10 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "suite,override",
         [("thresholds", {"max_atoms": 0}), ("distortion", {"ladder": [8, 9, 10]}),
-         ("thresholds", {"scale_range": [2.0, 1.0]})],
-        ids=["zero-max-atoms", "ladder-in-distortion", "empty-scale-range"],
+         ("thresholds", {"scale_range": [2.0, 1.0]}), ("thresholds", {"t_end": -1.0}),
+         ("distortion", {"t_end": -1.0})],
+        ids=["zero-max-atoms", "ladder-in-distortion", "empty-scale-range", "negative-t-end-in-thresholds",
+             "negative-t-end-in-distortion"],
     )
     def test_config_is_checked_for_every_suite(self, capsys, tmp_path, suite, override):
         # a suite that never reads the key still rejects the config

@@ -1,4 +1,4 @@
-"""Flow integration, squeezing envelopes, product formula, accretivity scans."""
+"""Flow integration, squeezing envelopes and the product formula."""
 
 import numpy as np
 import pytest
@@ -9,14 +9,12 @@ from resolvent_lab import (
     IntegrationError,
     constant_generator,
     composed_accretivity,
-    estimate_accretivity_floor,
     eval_p,
     extremal_generator,
     integrate,
     integrate_composed,
     iterate_resolvent,
     ladder_gaps,
-    product_formula,
     sample_generator,
     solve_resolvent,
     squeeze_check,
@@ -239,13 +237,14 @@ class TestProductFormula:
         # iterated value is exactly z0/(1+t/n)^n
         z0, t = 0.5, 1.0
         for n in (8, 32):
-            res = product_formula(constant_one, z0, t, n)
-            assert res.iterated == pytest.approx(z0 / (1 + t / n) ** n, abs=1e-12)
+            iterated = iterate_resolvent(constant_one, t / n, z0, n)
+            assert iterated == pytest.approx(z0 / (1 + t / n) ** n, abs=1e-12)
             expected_gap = abs(z0 / (1 + t / n) ** n - z0 * np.exp(-t))
-            assert res.gap == pytest.approx(expected_gap, abs=1e-8)
+            [(_, gap)] = ladder_gaps(constant_one, z0, t, ns=(n,))
+            assert gap == pytest.approx(expected_gap, abs=1e-8)
 
     def test_t_zero_gap(self, single_atom):
-        assert product_formula(single_atom, 0.4, 0.0, 1).gap == 0.0
+        assert ladder_gaps(single_atom, 0.4, 0.0, ns=(1,)) == [(1, 0.0)]
 
     def test_ladder_halves(self, single_atom):
         gaps = ladder_gaps(single_atom, 0.5, 1.0)
@@ -271,45 +270,17 @@ class TestProductFormula:
                 gaps = ladder_gaps(spec, z0, t, ns=ns)
                 assert [n for n, _ in gaps] == list(ns)
                 for (_, gap), n in zip(gaps, ns):
-                    assert abs(gap - product_formula(spec, z0, t, n).gap) <= 1e-15
+                    [(_, one_rung)] = ladder_gaps(spec, z0, t, ns=(n,))
+                    assert abs(gap - one_rung) <= 1e-15
 
     def test_ladder_edge_cases(self, single_atom):
         assert ladder_gaps(single_atom, 0.5, 1.0, ns=()) == []
         assert ladder_gaps(single_atom, 0.5, 0.0, ns=(1, 4)) == [(1, 0.0), (4, 0.0)]
         with pytest.raises(DomainError):
             ladder_gaps(single_atom, 0.5, 1.0, ns=(8, 0))
-        with pytest.raises(DomainError):
-            product_formula(single_atom, 0.5, 1.0, 0)
 
     def test_iterated_matches_compose(self, single_atom):
-        res = product_formula(single_atom, 0.5, 1.0, 2)
-        assert res.iterated == pytest.approx(iterate_resolvent(single_atom, 0.5, 0.5, 2))
-
-
-class TestAccretivityFloor:
-    def test_constant(self):
-        spec = constant_generator(0.7 + 0.2j)
-        for r in (0.0, 0.5, 0.9):
-            assert estimate_accretivity_floor(spec, r) == pytest.approx(0.7, abs=1e-12)
-
-    def test_single_atom_harnack_value(self, single_atom):
-        # minimum of Re (1+z)/(1-z) on |z| = r sits at z = -r: (1-r)/(1+r)
-        got = estimate_accretivity_floor(single_atom, 0.9)
-        assert got == pytest.approx(1 / 19, abs=1e-9)
-
-    def test_small_radius_near_q(self, random_specs):
-        for spec in random_specs[:5]:
-            assert estimate_accretivity_floor(spec, 1e-6) == pytest.approx(
-                spec.q.real, abs=1e-4
-            )
-
-    def test_weakly_decreasing_toward_floor(self, random_specs):
-        for spec in random_specs[:6]:
-            vals = [estimate_accretivity_floor(spec, r) for r in (0.1, 0.4, 0.7, 0.95, 0.999)]
-            for v1, v2 in zip(vals, vals[1:]):
-                assert v2 <= v1 + 1e-6
-            assert vals[-1] >= spec.a - 1e-9
-
-    def test_radius_guard(self, single_atom):
-        with pytest.raises(DomainError):
-            estimate_accretivity_floor(single_atom, 0.9999)
+        # a rung's gap is |G_{t/n}^(n)(z0) - u(t, z0)| against the ladder's flow endpoint
+        endpoint = integrate(single_atom, 0.5, 1.0, tol=semigroup._LADDER_ODE_TOL, n_eval=2).endpoint
+        [(_, gap)] = ladder_gaps(single_atom, 0.5, 1.0, ns=(2,))
+        assert gap == abs(iterate_resolvent(single_atom, 0.5, 0.5, 2) - endpoint)

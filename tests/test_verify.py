@@ -10,9 +10,11 @@ import dataclasses
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
-from resolvent_lab import ConfigError, SUITE_NAMES, SuiteConfig, run_suite
+from resolvent_lab import ConfigError, SUITE_NAMES, SuiteConfig, distortion_bound, run_suite, starlike_order_from_rho
+from resolvent_lab import verify
 
 SMALL = SuiteConfig(
     n_generators=6,
@@ -139,10 +141,10 @@ BAD_CONFIGS = [
     {"lambda_range": [0.0, 5.0]},
     {"lambda_range": [0.1, -5.0]},
     {"lambda_range": [0.1, float("inf")]},
-    {"solver_tol": 1e300},
-    {"solver_tol": 1e-3},
-    {"solver_tol": 1e-15},
-    {"solver_tol": float("nan")},
+    {"t_end": -1.0},
+    {"t_end": 2e4},
+    {"t_end": float("inf")},
+    {"t_end": float("nan")},
     # the sampling ranges and the ladder are checked for every suite
     {"max_atoms": 0},
     {"scale_range": [2.0, 1.0]},
@@ -163,6 +165,29 @@ def test_config_from_dict_rejects_wrong_types(data):
 def test_direct_construction_rejects_the_same(data):
     with pytest.raises(ConfigError):
         SuiteConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
+
+
+def test_solver_tol_is_an_unknown_key():
+    # the sweep solves at the solver's own tolerance
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['solver_tol'\]"):
+        SuiteConfig.from_dict({"solver_tol": 1e-12})
+
+
+def test_starlike_t_passes_are_where_the_order_is_refined():
+    # one rule decides where T(rho) refines the universal bound: the suite's
+    # passes and starlike_order_from_rho agree on SMALL's pool and lambdas
+    row = verify._SWEEPS["starlike_T"]
+    specs = verify._spec_pool(SMALL_SEED, 0xA5, SMALL.n_generators, row.planted, row.sample_cfg(SMALL))
+    grid = np.geomspace(*SMALL.lambda_range, SMALL.n_lambdas)
+    refined = [
+        (i, lam)
+        for i, spec in enumerate(specs)
+        for lam in map(float, (*grid, 2.0))
+        if starlike_order_from_rho(spec.q, spec.a, lam, distortion_bound(spec.q, spec.a, lam)).refined
+    ]
+    passes = row.passes(specs, grid)
+    assert passes == refined
+    assert 0 < len(passes) < len(specs) * (len(grid) + 1)
 
 
 @pytest.mark.parametrize("name,override", [("distortion", {"n_lambdas": 0}), ("thresholds", {"n_draws": 0})])
