@@ -183,7 +183,7 @@ def cmd_fig2(args) -> int:
 def cmd_semigroup(args) -> int:
     spec = _generator_from_args(args)
     z0 = parse_complex(args.z0)
-    traj = integrate(spec, z0, args.t_end, tol=args.tol)
+    traj = integrate(spec, z0, args.t_end)
     env = traj.envelope(spec.a)
     rows = (
         (_fmt(t), _fmt(u.real), _fmt(u.imag), _fmt(abs(u)), _fmt(e))
@@ -272,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generator_source(p)
     p.add_argument("--z0", required=True)
     p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_semigroup)
 

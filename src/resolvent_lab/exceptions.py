@@ -36,7 +36,7 @@ class NonConvergenceError(ResolventLabError, RuntimeError):
 
 
 class IntegrationError(ResolventLabError, RuntimeError):
-    """ODE integration aborted; carries the partial trajectory."""
+    """Flow computation aborted; carries the trajectory up to the failure."""
 
     def __init__(self, message, trajectory=None):
         super().__init__(message)

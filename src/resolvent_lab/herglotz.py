@@ -40,7 +40,8 @@ class GeneratorSpec:
     scale  -- Re p(0) - a, >= 0.  scale == 0 gives the constant p == q.
     gamma  -- Im p(0).
 
-    Every value is finite, and so is q: Re q >= a holds structurally, since
+    Every value is finite, and so are p and p' at every point where they
+    can be evaluated.  Re q >= a holds structurally, since
     q = (a + scale) + 1j*gamma with scale >= 0.
     """
 
@@ -77,8 +78,16 @@ class GeneratorSpec:
             if v < 0.0 and name != "gamma":
                 raise ConfigError(f"{name} must be >= 0, got {v}")
             object.__setattr__(self, name, v)
-        if not math.isfinite(self.a + self.scale):
-            raise ConfigError(f"Re q = a + scale must be finite, got {self.a + self.scale}")
+        # Every kernel denominator that _p_and_dp accepts has |1 - z conj(zeta)| >= POLE_GUARD: below
+        # |z| = 1 - 1e-13 (the solver's domain) it is at least 1 - |z|, above it the guard checks.  A
+        # kernel term is then at most 2 / POLE_GUARD in modulus and its derivative 2 / POLE_GUARD^2, so
+        # |p| <= a + |gamma| + 2 scale / POLE_GUARD and |p'| <= 2 scale / POLE_GUARD^2.  Both bounds
+        # must be finite doubles (scale <= 8.9e279); this also keeps q finite.
+        p_max = self.a + abs(self.gamma) + 2.0 * self.scale / POLE_GUARD
+        dp_max = 2.0 * self.scale / POLE_GUARD**2
+        if not (math.isfinite(p_max) and math.isfinite(dp_max)):
+            raise ConfigError(f"p or p' can overflow in the disk: a + |gamma| + 2 scale / {POLE_GUARD:g} = "
+                              f"{p_max:.3g} and 2 scale / {POLE_GUARD:g}^2 = {dp_max:.3g} must be finite")
 
     @property
     def q(self) -> complex:

@@ -491,7 +491,7 @@ def _suite_squeeze(cfg: SuiteConfig, seed: int):
     z0s = [0.6 + 0.0j, -0.45 + 0.45j]
     for spec in specs:
         for z0 in z0s:
-            traj = integrate(spec, z0, cfg.t_end, tol=1e-9)
+            traj = integrate(spec, z0, cfg.t_end)
             env, r = factor * traj.envelope(spec.a), np.abs(traj.points)
             col.add_array(env - r, env, r, spec, None, np.full(traj.points.shape, z0))
     return col, len(specs), col.count // len(specs)
@@ -506,7 +506,7 @@ def _suite_product_formula(cfg: SuiteConfig, seed: int):
     """Composition gaps decay along the n-ladder: gap(2n) <= 0.8 gap(n).
 
     Asymptotically the gap is O(1/n) so consecutive ratios sit near 1/2;
-    pairs with gaps at the integrator noise floor are skipped.  Control:
+    pairs with gaps below 1e-7 are skipped.  Control:
     require ratio <= 0.25, which the planted single-atom ladder (ratios
     near 1/2) must fail.  ``SuiteConfig`` makes each rung double the one before.
     """

@@ -198,7 +198,7 @@ def test_criterion_7_thresholds():
 
 def test_criterion_8_semigroup():
     const = constant_generator(1.0)
-    traj = integrate(const, 0.5, 1.0, tol=1e-9)
+    traj = integrate(const, 0.5, 1.0)
     err = abs(traj.endpoint - 0.5 * math.exp(-1.0))
     assert err <= 1e-8
     assert squeeze_check(traj, 1.0).ok

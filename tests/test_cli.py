@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, CSV formats, complex parsing."""
 
+import ast
 import contextlib
 import io
 import json
@@ -21,6 +22,22 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_process(*argv):
+    """Run the CLI in its own process, killed after 10 s."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(resolvent_lab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "resolvent_lab.cli", *argv], capture_output=True, text=True, env=env, timeout=10
+    )
+
+
+def assert_exits_2_at_once(*argv):
+    proc = run_process(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 class TestParseComplex:
@@ -107,6 +124,18 @@ class TestResolve:
             assert code == 2
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["resolve", "--lambda", "1", "--z", "0.5"], ["semigroup", "--z0", "0.5", "--t-end", "1e-310"]],
+        ids=["resolve", "semigroup"],
+    )
+    def test_spec_where_p_overflows_exits_2_at_once(self, tmp_path, argv):
+        # q is finite, but p overflows at z = 0.5: resolve once printed numpy warnings and exited 3 after
+        # 10 000 iterations, and semigroup was still running after 60 s
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"atoms": [{"theta": 0, "weight": 1}], "a": 0, "scale": 1e308, "gamma": 1e308}))
+        assert_exits_2_at_once(argv[0], "--spec-file", str(path), *argv[1:])
 
     def test_exactly_one_source(self, capsys, tmp_path):
         path = tmp_path / "s.json"
@@ -255,23 +284,18 @@ class TestSemigroupCommand:
 
     @staticmethod
     def _assert_exits_2_at_once(*argv):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(resolvent_lab.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "resolvent_lab.cli", "semigroup", "--q", "1", "--z0", "0.5", *argv],
-            capture_output=True, text=True, env=env, timeout=10,
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert_exits_2_at_once("semigroup", "--q", "1", "--z0", "0.5", *argv)
 
     def test_huge_t_end_exits_2_at_once(self):
         # unbounded, the step count grows like t_end and the call never ends
         self._assert_exits_2_at_once("--t-end", "1e300")
 
-    def test_nan_tol_exits_2_at_once(self):
-        # a NaN tolerance once kept the adaptive stepper running forever
-        self._assert_exits_2_at_once("--tol", "nan")
+    def test_tol_flag_exits_2(self):
+        # the flow is exact, so --tol is gone and argparse rejects it
+        proc = run_process("semigroup", "--q", "1", "--z0", "0.5", "--tol", "1e-9")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "unrecognized arguments: --tol 1e-9" in proc.stderr
 
     def test_large_q_exits_2_at_once(self):
         # the step count grows like |q| t_end: 93 s at q = 1e6, t_end = 1
@@ -383,8 +407,11 @@ class TestVerifyCommand:
 
 
 STARTUP_PROBE = """
+import contextlib
+import io
 import sys
 import resolvent_lab.cli as cli
+from resolvent_lab import semigroup
 
 def scipy_loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -392,14 +419,32 @@ def scipy_loaded():
 assert cli.main(["bounds", "--q", "1+0.5i", "--a", "0.25", "--lambda", "2", "--json"]) == 0
 assert cli.main(["resolve", "--q", "1", "--lambda", "2", "--z", "0.5+0.3i", "--json"]) == 0
 assert scipy_loaded() == [], scipy_loaded()
-cli.integrate(cli.extremal_generator(1.0, 0.0), 0.5, 1.0)
-assert "scipy.integrate" in scipy_loaded()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert cli.main(["semigroup", "--q", "1", "--z0", "0.5", "--t-end", "2"]) == 0
+spec = cli.extremal_generator(1.0, 0.0)
+semigroup.integrate(spec, 0.5, 1.0)
+semigroup.integrate_composed(spec, 2.0, 0.5, 1.0)
+semigroup.ladder_gaps(spec, 0.5, 1.0)
+assert scipy_loaded() == [], scipy_loaded()
 print("ok", file=sys.stderr)
 """
 
 
+def test_library_imports_no_scipy():
+    # scipy is a test dependency only
+    imported = []
+    for path in sorted(pathlib.Path(resolvent_lab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.append((path.name, node.module))
+    assert [(name, module) for name, module in imported if module.split(".")[0] == "scipy"] == []
+    assert ("semigroup.py", "numpy") in imported  # the scan sees the imports
+
+
 def test_startup_loads_no_scipy():
-    """Only the flow integration imports scipy; bounds and resolve run without it."""
+    """No command and no flow imports scipy: bounds, resolve, semigroup and both integrators run without it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(resolvent_lab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
@@ -432,7 +477,7 @@ GOLDEN_ARGV = [
     "fig1 --q 1 --a 0.025 --lambda-min 0.5 --lambda-max 4 --n-points 8",
     "fig2 --s-min 0.1 --s-max 4 --n-points 6",
     "semigroup --q 1+0.5i --a 0.25 --z0 0.5+0.2i --t-end 2",
-    "semigroup --spec-file {spec} --z0=-0.4+0.3i --t-end 1 --tol 1e-10",
+    "semigroup --spec-file {spec} --z0=-0.4+0.3i --t-end 1",
     "verify --suite thresholds --config {config} --seed 5",
     "verify --suite starlike_T --config {config} --seed 3",
 ]
