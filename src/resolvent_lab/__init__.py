@@ -10,7 +10,6 @@ from .bounds import (
     BoundSet,
     OrderCertificate,
     OrderEstimate,
-    accretivity_center_estimate,
     calc_order,
     composed_accretivity,
     distortion_at_critical_lambda,
@@ -19,7 +18,6 @@ from .bounds import (
     distortion_coefficients,
     distortion_curve,
     est1_bound,
-    reciprocal_disk,
     region_boundary,
     resolvent_accretivity,
     rho_star,
@@ -31,7 +29,6 @@ from .bounds import (
 )
 from .exceptions import (
     ConfigError,
-    DegenerateParameterError,
     DomainError,
     IntegrationError,
     NonConvergenceError,
@@ -47,7 +44,6 @@ from .herglotz import (
     extremal_generator,
     harnack_bounds,
     load_spec,
-    rotate_generator,
     sample_generator,
     save_spec,
     spec_from_dict,
@@ -60,7 +56,6 @@ from .resolvent import (
     iterate_resolvent,
     solve_resolvent,
     solve_resolvent_grid,
-    solve_slice,
 )
 from .semigroup import (
     SqueezeReport,
@@ -72,11 +67,8 @@ from .semigroup import (
 )
 from .starlike import (
     OrderScan,
-    TheoremComparison,
     empirical_order,
-    starlike_functional_fd,
     starlike_functional_grid,
-    theorem_vs_empirical,
 )
 from .verify import (
     SUITE_NAMES,

@@ -23,9 +23,9 @@ keeps only the *center* of the value disk of g = 1/(1 + lambda p(w)) and
 drops its radius.  It overestimates the true guarantee: for the single-atom
 generator p(z) = (1+z)/(1-z) at lambda = 1 it claims 1/2 while
 Re g(0.9) = 1/2.9.  ``resolvent_accretivity`` therefore minimizes the full
-center-minus-radius expression over the reachable radius range; the
-center-only value is kept as ``accretivity_center_estimate`` for regression
-comparison.
+center-minus-radius expression over the reachable radius range.  The
+library does not ship the center-only recipe; a test pins the discrepancy
+against the closed form g(z) = 1/(2 + z) of that case.
 
 That minimum needs no search.  The value disk at radius tau holds every
 value that a generator of the class takes on |z| <= tau, so the disks
@@ -43,20 +43,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateParameterError, DomainError
-from .herglotz import Disk
+from .exceptions import DomainError
 
 
 def _abs2(v: complex) -> float:
     return v.real * v.real + v.imag * v.imag
 
 
-def _validate_qal(q: complex, a: float, lam: float):
+def _finite_q(q: complex) -> complex:
+    """q as a complex number; DomainError unless both parts are finite."""
     q = complex(q)
-    if not (math.isfinite(q.real) and math.isfinite(q.imag) and math.isfinite(a)):
-        raise DomainError("q and a must be finite")
-    if a < 0.0:
-        raise DomainError(f"accretivity floor must be >= 0, got a = {a}")
+    if not (math.isfinite(q.real) and math.isfinite(q.imag)):
+        raise DomainError(f"q must be finite, got {q}")
+    return q
+
+
+def _check_floor(a: float) -> None:
+    """DomainError unless 0 <= a < inf; NaN fails the comparison too."""
+    if not (0.0 <= a < math.inf):
+        raise DomainError(f"accretivity floor must be finite and >= 0, got a = {a}")
+
+
+def _validate_qal(q: complex, a: float, lam: float):
+    q = _finite_q(q)
+    _check_floor(a)
     if q.real < a:
         raise DomainError(f"need Re q >= a, got Re q = {q.real}, a = {a}")
     if not math.isfinite(lam) or lam <= 0.0:
@@ -162,43 +172,6 @@ def resolvent_accretivity(q: complex, a: float, lam: float) -> float:
     return float(_g_floor(q, a, lam, tau_hat))
 
 
-def accretivity_center_estimate(q: complex, a: float, lam: float) -> float:
-    """Endpoint minimum of the center-only floor phi (radius term dropped).
-
-    phi(t) = (1 + lam Re q - t (1 - lam (Re q - 2a)))
-             / (|1 + lam q|^2 - t |1 - lam (q - 2a)|^2),
-    minimized over t in {0, 2/(A + sqrt B)}.  Kept only as a regression
-    reference: it is NOT a valid floor for Re g in general (module note),
-    though it is exact for constant p.  Raises DegenerateParameterError if a
-    denominator vanishes.
-    """
-    q, a, lam = _validate_qal(q, a, lam)
-    A, B = _ab(q, a, lam)
-    t_hat = 2.0 / (A + math.sqrt(B))
-
-    def phi(t: float) -> float:
-        num = 1.0 + lam * q.real - t * (1.0 - lam * (q.real - 2.0 * a))
-        den = _abs2(1.0 + lam * q) - t * _abs2(1.0 - lam * (q - 2.0 * a))
-        if den <= 1e-14:
-            raise DegenerateParameterError(f"floor denominator vanished at t = {t}")
-        return num / den
-
-    return min(phi(0.0), phi(t_hat))
-
-
-def reciprocal_disk(d: Disk) -> Disk:
-    """Image of {1/v : v in d} for a disk d not containing 0.
-
-    Center conj(c) / (|c|^2 - r^2), radius r / (|c|^2 - r^2); boundary maps
-    to boundary.
-    """
-    c, r = d.center, d.radius
-    den = _abs2(c) - r * r
-    if abs(c) <= r or den <= 0.0:
-        raise DomainError("reciprocal disk requires 0 outside the disk")
-    return Disk(c.conjugate() / den, r / den)
-
-
 def t_function(alpha: float, beta: float, r: float) -> float:
     """Deviation bound T(r) = 2 alpha r / ((1+beta)(1-r)^2 + alpha(1-r^2)).
 
@@ -207,8 +180,8 @@ def t_function(alpha: float, beta: float, r: float) -> float:
     """
     if not (0.0 <= r < 1.0):
         raise DomainError(f"radius must satisfy 0 <= r < 1, got {r}")
-    if alpha < 0.0 or beta < 0.0:
-        raise DomainError("alpha and beta must be >= 0")
+    if not (0.0 <= alpha < math.inf and 0.0 <= beta < math.inf):
+        raise DomainError(f"alpha and beta must be finite and >= 0, got {alpha}, {beta}")
     if alpha == 0.0:
         return 0.0
     return 2.0 * alpha * r / ((1.0 + beta) * (1.0 - r) ** 2 + alpha * (1.0 - r * r))
@@ -278,11 +251,10 @@ def threshold_m1(q: complex, a: float) -> float:
     as (sqrt(5 - 4s) + 1 - 2s) / ((1 + s) Re q) with s = a / Re q so that no
     product underflows; requires Re q > 0.
     """
-    q = complex(q)
+    q = _finite_q(q)
     if q.real <= 0.0:
         raise DomainError(f"threshold requires Re q > 0, got {q.real}")
-    if a < 0.0:
-        raise DomainError(f"need a >= 0, got {a}")
+    _check_floor(a)
     s = a / q.real
     rad = 5.0 - 4.0 * s
     if rad < 0.0:
@@ -297,7 +269,7 @@ def threshold_m2(q: complex, lam: float) -> float:
     ((s+1) sqrt(2 s^2 + 4 s + 1) + s^2 + s - 1) / (lambda (2 + s)^2);
     requires Re q > 0.
     """
-    q = complex(q)
+    q = _finite_q(q)
     if q.real <= 0.0:
         raise DomainError(f"threshold requires Re q > 0, got {q.real}")
     if not math.isfinite(lam) or lam <= 0.0:
@@ -372,9 +344,10 @@ def distortion_at_critical_lambda(q: complex, a: float) -> float:
     1 / sqrt(2 lambda0 a + 1 + lambda0 |q| sqrt(2 lambda0 a)); agrees with
     the general bound at lambda0 because |1 - lambda0 q| = 1 there.
     """
-    q = complex(q)
+    q = _finite_q(q)
     if q.real <= 0.0:
         raise DomainError(f"critical lambda requires Re q > 0, got {q.real}")
+    _check_floor(a)
     lam0 = 2.0 * q.real / _abs2(q)
     x = 2.0 * lam0 * a
     return 1.0 / math.sqrt(x + 1.0 + lam0 * abs(q) * math.sqrt(x))
@@ -388,9 +361,10 @@ def distortion_at_critical_lambda_simplified(q: complex, a: float) -> float:
     the discrepancy stays documented by a test.  The library follows the
     general formula everywhere.
     """
-    q = complex(q)
+    q = _finite_q(q)
     if q.real <= 0.0:
         raise DomainError(f"critical lambda requires Re q > 0, got {q.real}")
+    _check_floor(a)
     return math.sqrt(q.real / (4.0 * a + q.real))
 
 

@@ -42,6 +42,3 @@ class IntegrationError(ResolventLabError, RuntimeError):
         super().__init__(message)
         self.trajectory = trajectory
 
-
-class DegenerateParameterError(ResolventLabError, ArithmeticError):
-    """A bound formula hit a vanishing denominator; value undefined."""

@@ -109,10 +109,6 @@ class Disk:
         if not math.isfinite(self.radius) or self.radius < 0.0:
             raise DomainError(f"disk radius must be finite and >= 0, got {self.radius}")
 
-    def boundary_points(self, n: int) -> np.ndarray:
-        ang = TWO_PI * np.arange(n) / n
-        return self.center + self.radius * np.exp(1j * ang)
-
 @lru_cache(maxsize=4096)
 def _atom_arrays(spec: GeneratorSpec):
     thetas = np.array([t for t, _ in spec.atoms])
@@ -286,15 +282,6 @@ def constant_generator(q: complex) -> GeneratorSpec:
     if q.real < 0.0:
         raise DomainError(f"constant generator needs Re q >= 0, got {q.real}")
     return GeneratorSpec(atoms=((0.0, 1.0),), a=q.real, scale=0.0, gamma=q.imag)
-
-def rotate_generator(spec: GeneratorSpec, phi: float) -> GeneratorSpec:
-    """Rotate every atom angle by phi; p_rot(z) = p evaluated along a rotated ray."""
-    return GeneratorSpec(
-        atoms=tuple((t + phi, w) for t, w in spec.atoms),
-        a=spec.a,
-        scale=spec.scale,
-        gamma=spec.gamma,
-    )
 
 # ---------------------------------------------------------------------------
 # JSON interchange

@@ -25,10 +25,9 @@ points.
 ``solve_resolvent_grid`` is the one solve path: lambda is broadcast against
 z and carried as one complex number per point, so a scalar lambda and an
 array of equal lambdas give the same bits.  The result carries Q from the
-final p(w), p'(w); ``iterate_resolvent`` composes through it,
-``solve_resolvent`` is a one-point grid solve and ``solve_slice`` a
-one-point solve of a rotated generator.  The iterate after k rounds is the
-w of a run with ``max_iter=k, strict=False``.
+final p(w), p'(w); ``iterate_resolvent`` composes through it and
+``solve_resolvent`` is a one-point grid solve.  The iterate after k rounds
+is the w of a run with ``max_iter=k, strict=False``.
 
 Points converge at very different rates (a few rounds in the interior,
 tens near an atom at small lambda), so the solver works on a shrinking
@@ -47,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, DomainError, NonConvergenceError
-from .herglotz import GeneratorSpec, _check_in_disk, _p_and_dp, rotate_generator
+from .herglotz import GeneratorSpec, _check_in_disk, _p_and_dp
 
 DEFAULT_TOL = 1e-12
 MAX_ITER = 10_000
@@ -277,29 +276,17 @@ def solve_resolvent(
     )
 
 
-def solve_slice(spec: GeneratorSpec, lam: float, direction_factor: complex, z: complex) -> ResolventSolution:
-    """Resolvent of the slice multiplier z -> p(z * u) for |u| = 1.
-
-    Rotating the slice variable by u multiplies each atom interaction by u,
-    i.e. shifts every atom angle by -arg(u).  The solution satisfies
-    w(z) = conj(u) * w_master(u z) where w_master solves the unrotated
-    problem.
-    """
-    u = complex(direction_factor)
-    if abs(abs(u) - 1.0) > 1e-12:
-        raise DomainError(f"direction factor must be unimodular, got |u| = {abs(u)}")
-    rotated = rotate_generator(spec, -float(np.angle(u)))
-    return solve_resolvent(rotated, lam, z)
-
-
 def iterate_resolvent(spec: GeneratorSpec, lam, z, n):
     """n-fold composition G_lambda(G_lambda(...(z))); |result| <= |z|.
 
     lam, z and n broadcast: each point takes its own n steps at its own
     lambda, and the points still running share one grid solve per step.
-    Scalar input returns a complex.
+    n must hold integers >= 1.  Scalar input returns a complex.
     """
-    lams, z, counts = np.broadcast_arrays(lam, np.asarray(z, dtype=complex), np.asarray(n, dtype=np.int64))
+    counts = np.asarray(n)
+    if counts.size and counts.dtype.kind not in "iu":  # an empty list is float to numpy
+        raise DomainError(f"composition count must be an integer, got {n!r}")
+    lams, z, counts = np.broadcast_arrays(lam, np.asarray(z, dtype=complex), counts.astype(np.int64))
     if (counts < 1).any():
         raise DomainError(f"composition count must be >= 1, got {counts.min()}")
     w = z.copy()

@@ -31,7 +31,6 @@ from resolvent_lab import (
     squeeze_check,
     starlike_functional_grid,
     t_function,
-    theorem_vs_empirical,
     threshold_m1,
     threshold_m2,
     region_boundary,

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from resolvent_lab import (
-    Disk,
     DomainError,
-    accretivity_center_estimate,
     calc_order,
     composed_accretivity,
     constant_generator,
@@ -20,7 +18,6 @@ from resolvent_lab import (
     est1_bound,
     eval_p,
     extremal_generator,
-    reciprocal_disk,
     region_boundary,
     resolvent_accretivity,
     rho_star,
@@ -31,6 +28,7 @@ from resolvent_lab import (
     t_function,
     threshold_m1,
     threshold_m2,
+    value_disk,
 )
 from resolvent_lab.bounds import _g_floor
 
@@ -185,51 +183,68 @@ class TestResolventAccretivity:
 
     def test_center_only_estimate_is_not_a_floor(self):
         """Documented discrepancy: the endpoint recipe that keeps only the
-        disk center claims 1/2 for the single-atom case at lambda = 1, but
-        the actual functional Re g dips to ~1/2.9 there; the corrected
-        minimization is what the library ships as d_lambda."""
-        est = accretivity_center_estimate(1.0, 0.0, 1.0)
-        assert est == pytest.approx(0.5, abs=1e-12)
-        # closed form g(z) = 1/(2+z): Re g(0.9) = 1/2.9 < 1/2
+        disk center claims 1/2 for the single-atom case at lambda = 1
+        (q = 1, a = 0), but the actual functional Re g dips to 1/2.9 there;
+        the corrected minimization is what the library ships as d_lambda."""
+        center_only_claim = 0.5
+        # closed form g(z) = 1/(2 + z): Re g(0.9) = 1/2.9 < 1/2
         observed = (1 / (2 + 0.9)).real
-        assert observed < est - 0.1
-        assert resolvent_accretivity(1.0, 0.0, 1.0) <= observed + 1e-9
+        assert observed < center_only_claim - 0.1
+        assert solve_resolvent_grid(extremal_generator(1.0, 0.0), 1.0, [0.9]).g[0] == pytest.approx(observed, abs=1e-12)
+        assert resolvent_accretivity(1.0, 0.0, 1.0) <= 1 / 2.9
 
 
 class TestReciprocalDisk:
-    def test_point_disk(self):
-        d = reciprocal_disk(Disk(2.0 + 0j, 0.0))
-        assert d.center == pytest.approx(0.5)
-        assert d.radius == 0.0
+    """d_lambda's reciprocal-disk step: on |w| = tau, 1 + lambda p(w) lies in
+    D(C, R) = 1 + lambda * (value disk of p), and ``_g_floor`` is the least
+    real part of 1/v over that disk."""
 
-    def test_real_interval_endpoints(self):
-        d = reciprocal_disk(Disk(2.0 + 0j, 1.0))
-        assert d.center == pytest.approx(2 / 3, abs=1e-15)
-        assert d.radius == pytest.approx(1 / 3, abs=1e-15)
-        # 1/(2-1) = 1 and 1/(2+1) = 1/3 are the extreme values
-        assert d.center.real + d.radius == pytest.approx(1.0)
-        assert d.center.real - d.radius == pytest.approx(1 / 3)
+    @staticmethod
+    def shifted_disk(spec, lam, tau):
+        d = value_disk(spec, tau)
+        return 1.0 + lam * d.center, lam * d.radius
+
+    def test_point_disk(self):
+        # tau = 0: the disk is the point 1 + lambda q, and the floor is Re 1/(1 + lambda q)
+        q, a, lam = 1.0 + 0.5j, 0.25, 2.0
+        assert _g_floor(q, a, lam, 0.0) == pytest.approx((1.0 / (1.0 + lam * q)).real, abs=1e-15)
+
+    def test_real_interval_endpoints(self, single_atom):
+        # real q: the disk is symmetric about the real axis, so the floor is 1/(C + R), the
+        # reciprocal of its far endpoint 1 + lambda p(tau); the single atom attains it at w = tau
+        for tau in (0.1, 0.5, 0.9):
+            for lam in (0.3, 1.0, 4.0):
+                C, R = self.shifted_disk(single_atom, lam, tau)
+                floor = float(_g_floor(1.0 + 0j, 0.0, lam, tau))
+                assert floor == pytest.approx(1.0 / (C.real + R), rel=1e-13)
+                assert floor == pytest.approx(1.0 / (1.0 + lam * eval_p(single_atom, tau).real), rel=1e-12)
 
     def test_rotated(self):
-        d = reciprocal_disk(Disk(2j, 1.0))
-        assert d.center == pytest.approx(-2j / 3, abs=1e-15)
-        assert d.radius == pytest.approx(1 / 3, abs=1e-15)
+        # conjugating q reflects the disk in the real axis, which keeps every real part
+        for q in (1.0 + 2j, 0.3 - 1.7j):
+            assert resolvent_accretivity(q, 0.2, 1.5) == resolvent_accretivity(q.conjugate(), 0.2, 1.5)
+            assert _g_floor(q, 0.2, 1.5, 0.6) == _g_floor(q.conjugate(), 0.2, 1.5, 0.6)
 
     def test_boundary_to_boundary(self):
-        rng = np.random.default_rng(26)
-        for _ in range(20):
-            c = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            r = rng.uniform(0, 0.9) * abs(c)
-            if abs(c) <= r:
-                continue
-            d = Disk(c, r)
-            img = reciprocal_disk(d)
-            pts = 1.0 / d.boundary_points(64)
-            assert np.all(np.abs(np.abs(pts - img.center) - img.radius) <= 1e-12)
+        # 1/v maps the boundary of D(C, R) onto the boundary of the image disk, where Re is least
+        ang = np.linspace(0.0, 2.0 * np.pi, 200001)
+        for seed in range(20):
+            spec = sample_generator(5000 + seed)
+            lam, tau = 0.5 + seed / 4, 0.05 + 0.9 * (seed % 7) / 7
+            C, R = self.shifted_disk(spec, lam, tau)
+            sampled = np.min((1.0 / (C + R * np.exp(1j * ang))).real)
+            floor = float(_g_floor(spec.q, spec.a, lam, tau))
+            assert floor <= sampled + 1e-14
+            assert sampled - floor <= 1e-9 * abs(floor)
 
     def test_rejects_zero_inside(self):
-        with pytest.raises(DomainError):
-            reciprocal_disk(Disk(0.5 + 0j, 1.0))
+        # Re C - R = 1 + lambda * (Harnack floor) >= 1, so 0 never enters the disk and 1/v is defined on it
+        for seed in range(20):
+            spec = sample_generator(5100 + seed)
+            for lam in (0.1, 1.0, 30.0):
+                for tau in (0.0, 0.5, 0.999):
+                    C, R = self.shifted_disk(spec, lam, tau)
+                    assert C.real - R >= 1.0 - 1e-12
 
 
 class TestTFunction:
@@ -341,6 +356,41 @@ class TestThresholds:
             threshold_m1(-1.0, 0.0)
         with pytest.raises(DomainError):
             threshold_m2(0.0, 1.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (threshold_m1, (1.0, NAN)),
+        (threshold_m1, (1.0, INF)),
+        (threshold_m1, (1.0, -1.0)),
+        (threshold_m1, (complex(NAN, 0.0), 0.0)),
+        (threshold_m1, (complex(INF, 0.0), 0.0)),
+        (threshold_m1, (complex(1.0, INF), 0.0)),
+        (threshold_m2, (complex(NAN, 0.0), 1.0)),
+        (threshold_m2, (complex(INF, 0.0), 1.0)),
+        (threshold_m2, (1.0, NAN)),
+        (t_function, (NAN, 0.0, 0.5)),
+        (t_function, (INF, 0.0, 0.5)),
+        (t_function, (1.0, NAN, 0.5)),
+        (t_function, (1.0, INF, 0.5)),
+        (distortion_at_critical_lambda, (1.0, NAN)),
+        (distortion_at_critical_lambda, (1.0, INF)),
+        (distortion_at_critical_lambda, (1.0, -1.0)),
+        (distortion_at_critical_lambda, (complex(NAN, 0.0), 0.0)),
+        (distortion_at_critical_lambda, (complex(1.0, NAN), 0.0)),
+        (distortion_at_critical_lambda_simplified, (1.0, NAN)),
+        (distortion_at_critical_lambda_simplified, (1.0, -1.0)),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else repr(v),
+)
+def test_closed_forms_reject_non_finite_or_negative_input(fn, args):
+    # a non-finite q, a, lambda, alpha or beta, or a < 0, is a DomainError, never NaN or a bare ValueError
+    with pytest.raises(DomainError):
+        fn(*args)
 
 
 class TestCalcOrder:

@@ -14,7 +14,6 @@ from resolvent_lab import (
     iterate_resolvent,
     solve_resolvent,
     solve_resolvent_grid,
-    solve_slice,
 )
 from conftest import disk_points
 
@@ -231,32 +230,28 @@ class TestSolutionContract:
         assert sol.w[0] == pytest.approx(quadratic_oracle(2.1867, -0.999 + 0j), abs=1e-10)
 
 
-class TestSlices:
-    def test_identity_direction(self, random_specs):
-        for spec in random_specs[:5]:
-            a = solve_resolvent(spec, 1.2, 0.4 + 0.2j)
-            b = solve_slice(spec, 1.2, 1.0, 0.4 + 0.2j)
-            assert b.w == pytest.approx(a.w, abs=1e-12)
+def rotated(spec, phi):
+    """The generator with every atom angle shifted by phi: p_rot(z) = p(z e^(-i phi))."""
+    return GeneratorSpec(tuple((t + phi, w) for t, w in spec.atoms), a=spec.a, scale=spec.scale, gamma=spec.gamma)
 
+
+class TestSlices:
     def test_rotation_identity(self, random_specs):
-        # slice solution: w(z) = conj(u) * w_master(u z)
+        # rotating the atoms by -arg u rotates the resolvent: w_rot(z) = conj(u) * w(u z)
+        zs = np.array([0.55 - 0.2j, -0.3 + 0.8j, 0.9j, 0.0])
         for spec in random_specs[:8]:
             for phi in (0.7, -1.9, 3.0):
                 u = np.exp(1j * phi)
-                z = 0.55 - 0.2j
-                ws = solve_slice(spec, 1.4, u, z).w
-                wm = solve_resolvent(spec, 1.4, u * z).w
-                assert ws == pytest.approx(np.conj(u) * wm, abs=1e-10)
+                w_rot = solve_resolvent_grid(rotated(spec, -phi), 1.4, zs).w
+                w = solve_resolvent_grid(spec, 1.4, u * zs).w
+                assert np.max(np.abs(w_rot - np.conj(u) * w)) <= 1e-10
 
     def test_constant_p_direction_irrelevant(self, constant_one):
+        # constant p has no direction: G(z) = z / (1 + lambda q) commutes with every rotation
         z = 0.3 + 0.3j
         for u in (1.0, 1j, np.exp(0.4j)):
-            sol = solve_slice(constant_one, 2.0, u, z)
-            assert sol.w == pytest.approx(z / 3, abs=1e-12)
-
-    def test_unimodularity_enforced(self, single_atom):
-        with pytest.raises(DomainError):
-            solve_slice(single_atom, 1.0, 1.1, 0.5)
+            w = solve_resolvent_grid(constant_one, 2.0, [u * z]).w[0]
+            assert np.conj(u) * w == pytest.approx(z / 3, abs=1e-12)
 
 
 class TestIteration:
@@ -284,10 +279,10 @@ class TestIteration:
             assert abs(iterate_resolvent(spec, 0.7, z, 4)) <= abs(z)
 
     def test_n_validation(self, single_atom):
-        with pytest.raises(DomainError):
-            iterate_resolvent(single_atom, 1.0, 0.5, 0)
-        with pytest.raises(DomainError):
-            iterate_resolvent(single_atom, 1.0, 0.5, [3, 0])
+        # a count is an integer >= 1; 2.7 was once truncated to 2 compositions
+        for n in (0, [3, 0], 2.7, 2.0, float("nan"), True, [2, 2.5]):
+            with pytest.raises(DomainError):
+                iterate_resolvent(single_atom, 1.0, 0.5, n)
 
     def test_scalar_input_returns_complex(self, single_atom):
         got = iterate_resolvent(single_atom, 1.0, 0.5, 3)
