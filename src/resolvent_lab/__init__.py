@@ -13,10 +13,8 @@ from .bounds import (
     calc_order,
     composed_accretivity,
     distortion_at_critical_lambda,
-    distortion_at_critical_lambda_simplified,
     distortion_bound,
     distortion_coefficients,
-    distortion_curve,
     est1_bound,
     region_boundary,
     resolvent_accretivity,

@@ -6,6 +6,11 @@ formulas are evaluated directly in double precision, with no symbolic
 simplification, so each one can be cross-checked independently against
 sampled truth.
 
+Each closed form takes scalars (giving a float) or arrays that broadcast,
+giving the bits and, at the first bad entry, the DomainError of the scalar
+calls.  Powers are written as products, as numpy's array ``x**2`` and
+``x**3`` round unlike Python's ``**``.
+
 Central quantities, for A = |1 - lambda q|^2 + 4 lambda a + 1 and
 B = (|1 - lambda q|^2 - 1)^2 + 8 lambda^3 a |q|^2:
 
@@ -46,44 +51,57 @@ import numpy as np
 from .exceptions import DomainError
 
 
-def _abs2(v: complex) -> float:
+def _abs2(v):
     return v.real * v.real + v.imag * v.imag
 
 
-def _finite_q(q: complex) -> complex:
-    """q as a complex number; DomainError unless both parts are finite."""
-    q = complex(q)
-    if not (math.isfinite(q.real) and math.isfinite(q.imag)):
-        raise DomainError(f"q must be finite, got {q}")
+def _out(x):
+    """A 0-d result as a Python float, any other result as the array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _check(ok, message: str, *values) -> None:
+    """DomainError unless ``ok`` holds everywhere; the message shows ``values`` at the first entry where it fails."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        first = np.unravel_index(np.argmin(ok), ok.shape)
+        raise DomainError(message.format(*(np.broadcast_to(v, ok.shape)[first].item() for v in values)))
+
+
+def _finite_q(q) -> np.ndarray:
+    """q as a complex array; DomainError unless both parts are finite."""
+    q = np.asarray(q, dtype=complex)
+    _check(np.isfinite(q), "q must be finite, got {}", q)
     return q
 
 
-def _check_floor(a: float) -> None:
-    """DomainError unless 0 <= a < inf; NaN fails the comparison too."""
-    if not (0.0 <= a < math.inf):
-        raise DomainError(f"accretivity floor must be finite and >= 0, got a = {a}")
+def _check_floor(a) -> np.ndarray:
+    """a as a float array; DomainError unless 0 <= a < inf, which NaN fails too."""
+    a = np.asarray(a, dtype=float)
+    _check((0.0 <= a) & (a < math.inf), "accretivity floor must be finite and >= 0, got a = {}", a)
+    return a
 
 
-def _validate_qal(q: complex, a: float, lam: float):
-    q = _finite_q(q)
-    _check_floor(a)
-    if q.real < a:
-        raise DomainError(f"need Re q >= a, got Re q = {q.real}, a = {a}")
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise DomainError(f"lambda must be positive, got {lam}")
-    try:
+def _check_lambda(lam) -> np.ndarray:
+    lam = np.asarray(lam, dtype=float)
+    _check(np.isfinite(lam) & (lam > 0.0), "lambda must be positive, got {}", lam)
+    return lam
+
+
+def _validate_qal(q, a, lam):
+    q, a = _finite_q(q), _check_floor(a)
+    _check(q.real >= a, "need Re q >= a, got Re q = {}, a = {}", q.real, a)
+    lam = _check_lambda(lam)
+    with np.errstate(over="ignore", invalid="ignore"):
         A, B = _ab(q, a, lam)
-    except OverflowError:
-        A = B = math.inf
-    if not (math.isfinite(A) and math.isfinite(B)):
-        raise DomainError(f"A or B overflows a double at q = {q}, a = {a}, lambda = {lam}")
-    return q, float(a), float(lam)
+    _check(np.isfinite(A) & np.isfinite(B), "A or B overflows a double at q = {}, a = {}, lambda = {}", q, a, lam)
+    return q, a, lam
 
 
-def _ab(q: complex, a: float, lam: float):
+def _ab(q, a, lam):
     m = _abs2(1.0 - lam * q)
     A = m + 4.0 * lam * a + 1.0
-    B = (m - 1.0) ** 2 + 8.0 * lam**3 * a * _abs2(q)
+    B = (m - 1.0) * (m - 1.0) + 8.0 * (lam * lam * lam) * a * _abs2(q)
     return A, B
 
 
@@ -110,17 +128,17 @@ class BoundSet:
         return data
 
 
-def distortion_bound(q: complex, a: float, lam: float) -> float:
+def distortion_bound(q, a, lam):
     """sqrt(2 / (A + sqrt(B))): sharp bound on |G_lambda(z)| / |z|.
 
     Always in (0, 1]; equals 1 exactly when a = 0 and |1 - lambda q| <= 1.
     """
     q, a, lam = _validate_qal(q, a, lam)
     A, B = _ab(q, a, lam)
-    return math.sqrt(2.0 / (A + math.sqrt(B)))
+    return _out(np.sqrt(2.0 / (A + np.sqrt(B))))
 
 
-def est1_bound(q: complex, lam: float) -> float:
+def est1_bound(q, lam):
     """Distortion bound specialized to a = 0, in piecewise form.
 
     1 for lambda <= 2 Re q / |q|^2, then 1 / |1 - lambda q|.  Above the
@@ -128,20 +146,21 @@ def est1_bound(q: complex, lam: float) -> float:
     """
     q, _, lam = _validate_qal(q, 0.0, lam)
     qq = _abs2(q)
-    if qq == 0.0 or lam * qq <= 2.0 * q.real:
-        return 1.0
-    return 1.0 / abs(1.0 - lam * q)
+    flat = (qq == 0.0) | (lam * qq <= 2.0 * q.real)
+    # np.hypot, not np.abs: numpy's complex abs rounds differently from Python's
+    far = np.hypot(1.0 - lam * q.real, lam * q.imag)
+    return _out(np.divide(1.0, far, out=np.ones(far.shape), where=~flat))
 
 
-def composed_accretivity(q: complex, a: float, lam: float) -> float:
+def composed_accretivity(q, a, lam):
     """Accretivity floor a_lambda = (1 - distortion)/lambda of f o G_lambda.
 
     Zero exactly when the distortion bound is 1.
     """
-    return (1.0 - distortion_bound(q, a, lam)) / lam
+    return _out((1.0 - distortion_bound(q, a, lam)) / _check_lambda(lam))
 
 
-def _g_floor(q: complex, a: float, lam: float, tau) -> np.ndarray:
+def _g_floor(q, a, lam, tau) -> np.ndarray:
     """Lower bound for Re g on |G| = tau, via the reciprocal of the value disk.
 
     1 + lambda p(w) lies in the disk D(C, R) with C = 1 + lambda c(tau),
@@ -158,7 +177,7 @@ def _g_floor(q: complex, a: float, lam: float, tau) -> np.ndarray:
     return (C.real - R) / (C.real * C.real + C.imag * C.imag - R * R)
 
 
-def resolvent_accretivity(q: complex, a: float, lam: float) -> float:
+def resolvent_accretivity(q, a, lam):
     """Accretivity floor d_lambda of the resolvent itself: Re g >= d_lambda.
 
     The center-minus-radius floor of the reciprocal value disk at the
@@ -168,26 +187,25 @@ def resolvent_accretivity(q: complex, a: float, lam: float) -> float:
     up to rounding, the true constant of the linear resolvent.
     """
     q, a, lam = _validate_qal(q, a, lam)
-    tau_hat = min(distortion_bound(q, a, lam), 1.0 - 1e-9)
-    return float(_g_floor(q, a, lam, tau_hat))
+    tau_hat = np.minimum(distortion_bound(q, a, lam), 1.0 - 1e-9)
+    return _out(_g_floor(q, a, lam, tau_hat))
 
 
-def t_function(alpha: float, beta: float, r: float) -> float:
+def t_function(alpha, beta, r):
     """Deviation bound T(r) = 2 alpha r / ((1+beta)(1-r)^2 + alpha(1-r^2)).
 
-    Increasing in r on [0, 1), T(0) = 0.  alpha = 0 (linear map) returns 0
-    for every r by convention.
+    Increasing in r on [0, 1), T(0) = 0, and T = 0 for every r when
+    alpha = 0 (linear map).
     """
-    if not (0.0 <= r < 1.0):
-        raise DomainError(f"radius must satisfy 0 <= r < 1, got {r}")
-    if not (0.0 <= alpha < math.inf and 0.0 <= beta < math.inf):
-        raise DomainError(f"alpha and beta must be finite and >= 0, got {alpha}, {beta}")
-    if alpha == 0.0:
-        return 0.0
-    return 2.0 * alpha * r / ((1.0 + beta) * (1.0 - r) ** 2 + alpha * (1.0 - r * r))
+    alpha, beta, r = (np.asarray(x, dtype=float) for x in (alpha, beta, r))
+    _check((0.0 <= r) & (r < 1.0), "radius must satisfy 0 <= r < 1, got {}", r)
+    ok = (0.0 <= alpha) & (alpha < math.inf) & (0.0 <= beta) & (beta < math.inf)
+    _check(ok, "alpha and beta must be finite and >= 0, got {}, {}", alpha, beta)
+    with np.errstate(over="ignore", invalid="ignore"):  # alpha near the top of the double range gives inf, unwarned
+        return _out(2.0 * alpha * r / ((1.0 + beta) * ((1.0 - r) * (1.0 - r)) + alpha * (1.0 - r * r)))
 
 
-def rho_star(q: complex, a: float, lam: float) -> float:
+def rho_star(q, a, lam):
     """Smallest positive radius with T(r) = 1, in closed form.
 
     sqrt(1 + lam Re q) / (sqrt(2 lam (Re q - a)) + sqrt(1 + lam Re q)),
@@ -195,18 +213,18 @@ def rho_star(q: complex, a: float, lam: float) -> float:
     when Re q = a (alpha = 0).
     """
     q, a, lam = _validate_qal(q, a, lam)
-    s = math.sqrt(1.0 + lam * q.real)
-    return s / (math.sqrt(2.0 * lam * (q.real - a)) + s)
+    s = np.sqrt(1.0 + lam * q.real)
+    return _out(s / (np.sqrt(2.0 * lam * (q.real - a)) + s))
 
 
-def _alpha_beta(q: complex, a: float, lam: float):
+def _alpha_beta(q, a, lam):
     """alpha = lambda (Re q - a) and beta = lambda a: the parameters of T for the class."""
     return lam * (q.real - a), lam * a
 
 
-def _t_refines(q: complex, a: float, lam: float, rho: float) -> bool:
-    """Whether T(rho) refines the universal order 1/2: rho < 1 and rho <= rho*, up to one rounding of rho*."""
-    return rho < 1.0 and rho <= rho_star(q, a, lam) + 1e-15
+def _t_refines(q, a, lam, rho):
+    """Where T(rho) refines the universal order 1/2: rho < 1 and rho <= rho*, up to one rounding of rho*."""
+    return (rho < 1.0) & (rho <= rho_star(q, a, lam) + 1e-15)
 
 
 def _order(t: float) -> float:
@@ -228,7 +246,7 @@ class OrderEstimate:
 
 
 def starlike_order_from_rho(q: complex, a: float, lam: float, rho: float) -> OrderEstimate:
-    """Orders of starlikeness when |G_lambda| <= rho on the disk.
+    """Orders of starlikeness when |G_lambda| <= rho on the disk, for one (q, a, lambda).
 
     For rho <= rho*: order 1/(1 + T(rho)) and strong order
     (2/pi) arcsin T(rho).  Beyond rho*, and at rho = 1 (the distortion
@@ -236,49 +254,47 @@ def starlike_order_from_rho(q: complex, a: float, lam: float, rho: float) -> Ord
     the universal baseline (order 1/2, strong order 1) is certified.
     """
     q, a, lam = _validate_qal(q, a, lam)
-    if not (0.0 <= rho <= 1.0):
-        raise DomainError(f"rho must satisfy 0 <= rho <= 1, got {rho}")
+    _check((0.0 <= rho) & (rho <= 1.0), "rho must satisfy 0 <= rho <= 1, got {}", rho)
     if _t_refines(q, a, lam, rho):
         t = min(t_function(*_alpha_beta(q, a, lam), rho), 1.0)
         return OrderEstimate(order=_order(t), strong_order=2.0 * math.asin(t) / math.pi, refined=True)
     return OrderEstimate(order=0.5, strong_order=1.0, refined=False)
 
 
-def threshold_m1(q: complex, a: float) -> float:
+def threshold_m1(q, a):
     """Lambda threshold M1 beyond which the order certificate applies.
 
     (sqrt(5 Re^2 q - 4 a Re q) + Re q - 2a) / ((Re q + a) Re q), evaluated
     as (sqrt(5 - 4s) + 1 - 2s) / ((1 + s) Re q) with s = a / Re q so that no
-    product underflows; requires Re q > 0.
+    product underflows; requires Re q > 0 and a <= 1.25 Re q.
     """
     q = _finite_q(q)
-    if q.real <= 0.0:
-        raise DomainError(f"threshold requires Re q > 0, got {q.real}")
-    _check_floor(a)
-    s = a / q.real
-    rad = 5.0 - 4.0 * s
-    if rad < 0.0:
-        raise DomainError(f"threshold undefined for a = {a} > 1.25 Re q")
-    return (math.sqrt(rad) + 1.0 - 2.0 * s) / ((1.0 + s) * q.real)
+    _check(q.real > 0.0, "threshold requires Re q > 0, got {}", q.real)
+    a = _check_floor(a)
+    with np.errstate(over="ignore"):
+        s = a / q.real
+        _check(5.0 - 4.0 * s >= 0.0, "threshold undefined for a = {} > 1.25 Re q", a)
+        return _out((np.sqrt(5.0 - 4.0 * s) + 1.0 - 2.0 * s) / ((1.0 + s) * q.real))
 
 
-def threshold_m2(q: complex, lam: float) -> float:
+def threshold_m2(q, lam):
     """Floor threshold M2 on the accretivity constant a, for small lambda.
 
     With s = lambda Re q:
     ((s+1) sqrt(2 s^2 + 4 s + 1) + s^2 + s - 1) / (lambda (2 + s)^2);
-    requires Re q > 0.
+    requires Re q > 0, and a DomainError when it overflows a double.
     """
     q = _finite_q(q)
-    if q.real <= 0.0:
-        raise DomainError(f"threshold requires Re q > 0, got {q.real}")
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise DomainError(f"lambda must be positive, got {lam}")
-    s = lam * q.real
-    return ((s + 1.0) * math.sqrt(2.0 * s * s + 4.0 * s + 1.0) + s * s + s - 1.0) / (lam * (2.0 + s) ** 2)
+    _check(q.real > 0.0, "threshold requires Re q > 0, got {}", q.real)
+    lam = _check_lambda(lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = lam * q.real
+        m2 = ((s + 1.0) * np.sqrt(2.0 * s * s + 4.0 * s + 1.0) + s * s + s - 1.0) / (lam * ((2.0 + s) * (2.0 + s)))
+    _check(np.isfinite(m2), "M2 overflows a double at q = {}, lambda = {}", q, lam)
+    return _out(m2)
 
 
-def starlike_main_margin(q: complex, a: float, lam: float) -> float:
+def starlike_main_margin(q, a, lam):
     """Margin of A + sqrt(B) >= 2 (sqrt(2 lam (Re q - a)/(1 + lam Re q)) + 1)^2.
 
     Nonnegative margin means the distortion radius does not exceed rho*,
@@ -286,8 +302,8 @@ def starlike_main_margin(q: complex, a: float, lam: float) -> float:
     """
     q, a, lam = _validate_qal(q, a, lam)
     A, B = _ab(q, a, lam)
-    lhs = 2.0 * (math.sqrt(2.0 * lam * (q.real - a) / (1.0 + lam * q.real)) + 1.0) ** 2
-    return A + math.sqrt(B) - lhs
+    t = np.sqrt(2.0 * lam * (q.real - a) / (1.0 + lam * q.real)) + 1.0
+    return _out(A + np.sqrt(B) - 2.0 * (t * t))
 
 
 @dataclass(frozen=True)
@@ -298,17 +314,18 @@ class OrderCertificate:
     condition: str  # "i" or "ii"
 
 
-def _certifying_condition(q: complex, a: float, lam: float):
-    """The condition of ``calc_order`` that holds, "i" or "ii", or None when Re q <= 0 or neither does."""
-    if q.real <= 0.0:
-        return None
-    if lam * _abs2(q) >= 2.0 * q.real:
-        return "i" if lam > threshold_m1(q, a) else None
-    return "ii" if a > threshold_m2(q, lam) else None
+def _certifying_conditions(q, a, lam):
+    """Where condition (i) and where (ii) of ``calc_order`` hold on validated input; neither where Re q <= 0."""
+    qr = q.real
+    steep = lam * _abs2(q) >= 2.0 * qr
+    # entries whose M1 or M2 is not read take q = 1 or lambda = 1 there, where both are defined
+    m1 = threshold_m1(np.where(qr > 0.0, q, 1.0), a)
+    m2 = threshold_m2(np.where(steep | (qr <= 0.0), 1.0, q), np.where(steep, 1.0, lam))
+    return (qr > 0.0) & steep & (lam > m1), (qr > 0.0) & ~steep & (a > m2)
 
 
 def calc_order(q: complex, a: float, lam: float):
-    """Certified starlikeness order 1/(1 + T(distortion)), when available.
+    """Certified starlikeness order 1/(1 + T(distortion)) for one (q, a, lambda), when available.
 
     Condition (i): lambda |q|^2 >= 2 Re q and lambda > M1(q, a).
     Condition (ii): lambda |q|^2 < 2 Re q and a > M2(q, lambda).
@@ -316,56 +333,48 @@ def calc_order(q: complex, a: float, lam: float):
     distinguishing "not certified" from an error.
     """
     q, a, lam = _validate_qal(q, a, lam)
-    condition = _certifying_condition(q, a, lam)
-    if condition is None:
+    cond_i, cond_ii = _certifying_conditions(q, a, lam)
+    if not (cond_i or cond_ii):
         return None
     if starlike_main_margin(q, a, lam) < -1e-12:
         raise RuntimeError(
             "internal inconsistency: certified condition failed the radius comparison"
         )
-    rho = distortion_bound(q, a, lam)
-    return OrderCertificate(order=_order(t_function(*_alpha_beta(q, a, lam), rho)), condition=condition)
+    order = _order(t_function(*_alpha_beta(q, a, lam), distortion_bound(q, a, lam)))
+    return OrderCertificate(order=order, condition="i" if cond_i else "ii")
 
 
-def region_boundary(s: float) -> float:
+def region_boundary(s):
     """Boundary curve t*(s) = (4 + 2s - s^2) / (2 + s)^2 of the certified region.
 
     The certified parameter set in the (s, t) = (lambda q, a/q) plane for
     real q is {s > 0, t*(s) < t < 1}; t* crosses zero at s = 1 + sqrt(5).
+    A DomainError when the formula overflows a double (s above about 1e154).
     """
-    if not math.isfinite(s) or s <= 0.0:
-        raise DomainError(f"s must be positive, got {s}")
-    return (4.0 + 2.0 * s - s * s) / (2.0 + s) ** 2
+    s = np.asarray(s, dtype=float)
+    _check(np.isfinite(s) & (s > 0.0), "s must be positive, got {}", s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (4.0 + 2.0 * s - s * s) / ((2.0 + s) * (2.0 + s))
+    _check(np.isfinite(t), "t* overflows a double at s = {}", s)
+    return _out(t)
 
 
-def distortion_at_critical_lambda(q: complex, a: float) -> float:
+def distortion_at_critical_lambda(q, a):
     """Distortion bound at lambda0 = 2 Re q / |q|^2, in closed form.
 
-    1 / sqrt(2 lambda0 a + 1 + lambda0 |q| sqrt(2 lambda0 a)); agrees with
-    the general bound at lambda0 because |1 - lambda0 q| = 1 there.
+    1 / sqrt(2 lambda0 a + 1 + lambda0 |q| sqrt(2 lambda0 a)), evaluated as
+    1 / sqrt(x + 1 + 2c sqrt(x)) with c = Re q / |q| and x = 4 c a / |q| so
+    that tiny q does not underflow; 1 at a = 0.  It agrees with the general
+    bound at lambda0 because |1 - lambda0 q| = 1 there.
     """
     q = _finite_q(q)
-    if q.real <= 0.0:
-        raise DomainError(f"critical lambda requires Re q > 0, got {q.real}")
-    _check_floor(a)
-    lam0 = 2.0 * q.real / _abs2(q)
-    x = 2.0 * lam0 * a
-    return 1.0 / math.sqrt(x + 1.0 + lam0 * abs(q) * math.sqrt(x))
-
-
-def distortion_at_critical_lambda_simplified(q: complex, a: float) -> float:
-    """sqrt(Re q / (4a + Re q)): a circulating shortcut for real q.
-
-    Disagrees with :func:`distortion_at_critical_lambda` whenever a > 0
-    (e.g. q = 1, a = 1/4 gives sqrt(1/2) against the correct 1/2); kept so
-    the discrepancy stays documented by a test.  The library follows the
-    general formula everywhere.
-    """
-    q = _finite_q(q)
-    if q.real <= 0.0:
-        raise DomainError(f"critical lambda requires Re q > 0, got {q.real}")
-    _check_floor(a)
-    return math.sqrt(q.real / (4.0 * a + q.real))
+    _check(q.real > 0.0, "critical lambda requires Re q > 0, got {}", q.real)
+    a = _check_floor(a)
+    r = np.hypot(q.real, q.imag)
+    c = q.real / r
+    with np.errstate(over="ignore"):
+        x = 4.0 * c * (a / r)
+        return _out(1.0 / np.sqrt(x + 1.0 + 2.0 * c * np.sqrt(x)))
 
 
 def distortion_coefficients(q: complex, a: float, lam: float) -> BoundSet:
@@ -374,20 +383,15 @@ def distortion_coefficients(q: complex, a: float, lam: float) -> BoundSet:
     A, B = _ab(q, a, lam)
     alpha, beta = _alpha_beta(q, a, lam)
     return BoundSet(
-        q=q,
-        a=a,
-        lam=lam,
-        A=A,
-        B=B,
+        q=complex(q),
+        a=float(a),
+        lam=float(lam),
+        A=float(A),
+        B=float(B),
         distortion=distortion_bound(q, a, lam),
         a_lambda=composed_accretivity(q, a, lam),
         d_lambda=resolvent_accretivity(q, a, lam),
         rho_star=rho_star(q, a, lam),
-        alpha=alpha,
-        beta=beta,
+        alpha=float(alpha),
+        beta=float(beta),
     )
-
-
-def distortion_curve(q: complex, a: float, lambdas) -> np.ndarray:
-    """Distortion bound along a lambda grid (the dependence plotted in reports)."""
-    return np.array([distortion_bound(q, a, float(l)) for l in np.asarray(lambdas, dtype=float)])

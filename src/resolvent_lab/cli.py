@@ -23,7 +23,6 @@ from .bounds import (
     calc_order,
     distortion_bound,
     distortion_coefficients,
-    distortion_curve,
     est1_bound,
     region_boundary,
     starlike_order_from_rho,
@@ -164,7 +163,7 @@ def cmd_fig1(args) -> int:
         raise ConfigError("need at least one grid point")
     q = parse_complex(args.q)
     lams = np.linspace(args.lambda_min, args.lambda_max, args.n_points)
-    rows = ((_fmt(l), _fmt(d)) for l, d in zip(lams, distortion_curve(q, args.a, lams)))
+    rows = ((_fmt(l), _fmt(d)) for l, d in zip(lams, distortion_bound(q, args.a, lams)))
     _write(args.out, "lambda,distortion", rows)
     return 0
 
@@ -175,7 +174,7 @@ def cmd_fig2(args) -> int:
     if args.n_points < 1:
         raise ConfigError("need at least one grid point")
     grid = np.linspace(args.s_min, args.s_max, args.n_points)
-    rows = ((_fmt(s), _fmt(region_boundary(float(s)))) for s in grid)
+    rows = ((_fmt(s), _fmt(t)) for s, t in zip(grid, region_boundary(grid)))
     _write(args.out, "s,t_star", rows)
     return 0
 

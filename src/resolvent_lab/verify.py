@@ -10,8 +10,8 @@ configuration error, not a pass.
 The seven suites that check solved resolvents are rows of ``_SWEEPS``, all
 run by one loop, ``_sweep``.  For every run of consecutive passes on one
 generator it does one cold ``solve_resolvent_grid`` on the generator's
-sample set, one row per lambda, and checks the row's claim on each
-lambda's row of the solution, which carries w = G(z) and Q:
+sample set, one row per lambda, and one check per solve block: the row's
+claim on the (lambda x z) solution, which carries w = G(z) and Q:
 
     suite                  claim on w = G(z) or Q                   planted
     distortion             |w|/|z| <= distortion(q, a, lam)         atom(1, 0)
@@ -26,10 +26,11 @@ A row holds only what differs between these suites: the planted specs,
 the sample-config override, the passes (the lambda grid by default;
 starlike_half adds lambda = 1.999 after the grid, starlike_T adds
 lambda = 2 and skips the passes where rho > rho*), the tolerance, the
-claim ``(spec, lam, zs, sol) -> (bound, observed)`` on the grid solution
-with its direction, the negative-control transform of the bound, and
-est1's closed-form side check.  herglotz_equiv, squeeze, product_formula
-and thresholds solve no resolvent grid and keep their own functions.
+claim ``(spec, lam, zs, sol) -> (bound, observed)`` on the grid solution,
+lam a column, with its direction, the negative-control transform of the
+bound, and est1's closed-form side check.  herglotz_equiv, squeeze,
+product_formula and thresholds solve no resolvent grid and keep their own
+functions; thresholds checks each claim on all of its draws at once.
 
 Negative controls: with ``negative_control`` set, each suite checks a
 deliberately falsified version of its bound (tight enough that a planted
@@ -60,7 +61,7 @@ import numpy as np
 
 from .bounds import (
     _alpha_beta,
-    _certifying_condition,
+    _certifying_conditions,
     _t_refines,
     composed_accretivity,
     distortion_bound,
@@ -84,7 +85,7 @@ from .herglotz import (
     spec_to_dict,
     value_disk,
 )
-from .resolvent import GridSolution, solve_resolvent_grid
+from .resolvent import solve_resolvent_grid
 from .semigroup import MAX_T_END, integrate, ladder_gaps
 
 # Bound here but not called: perfbench's traced run wraps them in this
@@ -231,26 +232,25 @@ class _Collector:
         self.count = 0
 
     def add_array(self, margins, expected, observed, spec=None, lam=None, zs=None, tol=None):
-        """Record a scalar or an array of margins; ``tol`` is a scalar or one per margin."""
-        margins = np.asarray(margins, dtype=float).reshape(-1)
+        """Record margins row-major; the rest broadcasts, and ``spec`` may be a function of a recorded flat index."""
+        margins = np.atleast_1d(np.asarray(margins, dtype=float))
         self.count += margins.size
-        if margins.size == 0:
-            return
-        self.worst = min(self.worst, float(margins.min()))
-        bad = np.nonzero(margins < -(self.tol if tol is None else tol))[0]
+        self.worst = min(self.worst, float(margins.min(initial=math.inf)))
+        bad = np.flatnonzero(margins < -(self.tol if tol is None else tol))[: _MAX_RECORDED - len(self.violations)]
         if bad.size == 0:
             return
-        expected = np.broadcast_to(np.asarray(expected, dtype=float), margins.shape)
-        observed = np.broadcast_to(np.asarray(observed, dtype=float), margins.shape)
-        for i in bad[: _MAX_RECORDED - len(self.violations)]:
+        at = np.unravel_index(bad, margins.shape)
+        fields = (np.broadcast_to(np.asarray(v), margins.shape)[at].tolist()
+                  for v in (spec, lam, zs, expected, observed, margins))
+        for k, s, l, z, e, o, m in zip(bad.tolist(), *fields):
             self.violations.append(
                 Violation(
-                    spec=spec_to_dict(spec) if isinstance(spec, GeneratorSpec) else spec,
-                    lam=None if lam is None else float(lam),
-                    z=None if zs is None else [complex(zs[i]).real, complex(zs[i]).imag],
-                    expected=float(expected[i]),
-                    observed=float(observed[i]),
-                    margin=float(margins[i]),
+                    spec=spec_to_dict(s) if isinstance(s, GeneratorSpec) else s(k) if callable(s) else s,
+                    lam=None if l is None else float(l),
+                    z=None if z is None else [complex(z).real, complex(z).imag],
+                    expected=float(e),
+                    observed=float(o),
+                    margin=m,
                 )
             )
 
@@ -304,12 +304,12 @@ class _Sweep:
 
 
 def _sweep(row: _Sweep, cfg: SuiteConfig, seed: int):
-    """One cold solve per run of a generator's passes, each pass checked against the row's claim.
+    """One cold solve per run of a generator's passes, checked once against the row's claim.
 
     Consecutive passes on one generator share one ``solve_resolvent_grid``
-    call, one row of points per lambda; the rows are checked in pass order,
-    and only one run's solution is alive at a time.  Returns the collector,
-    the number of generators and the samples checked per generator.
+    call, one row of points per lambda, and the claim, its control and the
+    side check run once on that block, with lambda as a column.  Returns the
+    collector, the number of generators and the samples per generator.
     """
     col = _Collector(row.tol)
     specs = _spec_pool(seed, 0xA5, cfg.n_generators, row.planted, row.sample_cfg(cfg))
@@ -317,23 +317,17 @@ def _sweep(row: _Sweep, cfg: SuiteConfig, seed: int):
     grid = np.geomspace(*cfg.lambda_range, cfg.n_lambdas)
     for i, run in itertools.groupby(row.passes(specs, grid), key=lambda p: p[0]):
         spec, zs = specs[i], zsets[i]
-        lams = np.array([lam for _, lam in run], dtype=float)
-        sol = solve_resolvent_grid(spec, lams[:, None], zs[None, :])
-        for k, lam in enumerate(lams.tolist()):
-            bound, observed = row.claim(spec, lam, zs, _row(sol, k))
-            if cfg.negative_control:
-                bound = row.control(bound)
-            margin = observed - bound if row.floor else bound - observed
-            col.add_array(margin, bound, observed, spec, lam, zs)
-            if row.side is not None:
-                bound, observed = row.side(spec, lam)
-                col.add_array(bound - observed, bound, observed, spec, lam, tol=1e-12)
+        lams = np.array([lam for _, lam in run], dtype=float)[:, None]
+        sol = solve_resolvent_grid(spec, lams, zs[None, :])
+        bound, observed = row.claim(spec, lams, zs, sol)
+        if cfg.negative_control:
+            bound = row.control(bound)
+        margin = observed - bound if row.floor else bound - observed
+        col.add_array(margin, bound, observed, spec, lams, zs)
+        if row.side is not None:
+            bound, observed = row.side(spec, lams)
+            col.add_array(bound - observed, bound, observed, spec, lams, tol=1e-12)
     return col, len(specs), col.count // len(specs)
-
-
-def _row(sol: GridSolution, k: int) -> GridSolution:
-    """Row k of a (lambda x point) grid solution."""
-    return GridSolution(*(getattr(sol, f.name)[k] for f in dataclasses.fields(sol)))
 
 
 def _est1_samples(cfg: SuiteConfig) -> SampleConfig:
@@ -351,9 +345,10 @@ def _ineq_z_claim(spec, lam, zs, sol):
     """|w|^2 (|1 - lam q|^2 + 4 lam a + 1) - |w|^4 |1 + 2 lam a - lam q|^2 < 1."""
     q, a = spec.q, spec.a
     t = np.abs(sol.w) ** 2
-    coeff4 = abs(1.0 + 2.0 * lam * a - lam * q) ** 2
-    coeff2 = abs(1.0 - lam * q) ** 2 + 4.0 * lam * a + 1.0
-    return 1.0, -(t * t) * coeff4 + t * coeff2
+    # np.hypot is Python's complex abs; numpy's own complex abs rounds differently
+    far = np.hypot(1.0 + 2.0 * lam * a - lam * q.real, lam * q.imag)
+    near = np.hypot(1.0 - lam * q.real, lam * q.imag)
+    return 1.0, -(t * t) * (far * far) + t * (near * near + 4.0 * lam * a + 1.0)
 
 
 # Deviation of the planted sharp case peaks near 0.956 (single atom,
@@ -375,12 +370,11 @@ _STARLIKE_T_CONTROL_FACTOR = 0.2
 
 def _starlike_t_passes(specs, lams):
     """The grid plus lambda = 2, where the hypothesis rho <= rho* holds."""
-    passes = []
-    for i, spec in enumerate(specs):
-        for lam in map(float, (*lams, 2.0)):
-            if _t_refines(spec.q, spec.a, lam, distortion_bound(spec.q, spec.a, lam)):
-                passes.append((i, lam))
-    return passes
+    lams = np.append(lams, 2.0)
+    q = np.array([spec.q for spec in specs])[:, None]
+    a = np.array([spec.a for spec in specs])[:, None]
+    rows, cols = np.nonzero(_t_refines(q, a, lams, distortion_bound(q, a, lams)))
+    return list(zip(rows.tolist(), lams[cols].tolist()))
 
 
 def _starlike_t_claim(spec, lam, zs, sol):
@@ -493,7 +487,7 @@ def _suite_squeeze(cfg: SuiteConfig, seed: int):
         for z0 in z0s:
             traj = integrate(spec, z0, cfg.t_end)
             env, r = factor * traj.envelope(spec.a), np.abs(traj.points)
-            col.add_array(env - r, env, r, spec, None, np.full(traj.points.shape, z0))
+            col.add_array(env - r, env, r, spec, None, z0)
     return col, len(specs), col.count // len(specs)
 
 
@@ -522,7 +516,7 @@ def _suite_product_formula(cfg: SuiteConfig, seed: int):
             for (n1, g1), (n2, g2) in zip(gaps, gaps[1:]):
                 if g1 < _PRODUCT_GAP_FLOOR:
                     continue
-                col.add_array(bound * g1 - g2, bound * g1, g2, spec, cfg.t_end / n1, [z0])
+                col.add_array(bound * g1 - g2, bound * g1, g2, spec, cfg.t_end / n1, z0)
                 n_per += 1
     return col, len(specs), max(n_per, 1)
 
@@ -540,26 +534,30 @@ def _suite_thresholds(cfg: SuiteConfig, seed: int):
     cancels, so one rounding of rho* moves T(rho*) by far more than 1e-12.
     """
     col = _Collector(1e-12)
-    rng = np.random.default_rng([seed, 0x7D])
-    perturb = 1.0 + 1e-6 if cfg.negative_control else 1.0
-    for _ in range(cfg.n_draws):
-        rq = rng.uniform(0.05, 3.0)
-        q = complex(rq, rng.uniform(-2.0, 2.0))
-        a = rng.uniform(0.0, rq)
-        lam = float(np.exp(rng.uniform(np.log(1e-3), np.log(50.0))))
-        alpha, beta = _alpha_beta(q, a, lam)
-        rs = rho_star(q, a, lam)
-        if alpha > 0.0 and rs * perturb < 1.0:
-            err = abs(t_function(alpha, beta, rs * perturb) - 1.0)
-            cond = 1.0 + rs + (1.0 + beta) * (1.0 - rs) / alpha
-            col.add_array(-err, 0.0, err, {"q": [q.real, q.imag], "a": a}, lam, tol=1e-12 * cond)
-        # certified conditions must imply the radius comparison
-        if _certifying_condition(q, a, lam) is not None:
-            margin = starlike_main_margin(q, a, lam)
-            col.add_array(margin, 0.0, -margin, {"q": [q.real, q.imag], "a": a}, lam)
-        # region boundary root sits at the a = 0 lambda threshold
-        err = abs(region_boundary(rq * threshold_m1(q, 0.0)))
-        col.add_array(-err, 0.0, err, {"q": [q.real, q.imag], "a": 0.0}, None, tol=1e-10)
+    # Re q, Im q, a and log lambda, as uniform(lo, hi) = lo + (hi - lo) u drew them one at a time
+    u = np.random.default_rng([seed, 0x7D]).random((cfg.n_draws, 4))
+    rq = 0.05 + (3.0 - 0.05) * u[:, 0]
+    q = rq + 1j * (-2.0 + 4.0 * u[:, 1])
+    a = rq * u[:, 2]
+    lam = np.exp(np.log(1e-3) + (np.log(50.0) - np.log(1e-3)) * u[:, 3])
+    def spec(on, floor):
+        """Draw k of those in ``on`` as a spec with floor ``floor``, built only for a draw that is recorded."""
+        draws = np.flatnonzero(on)
+        return lambda k: {"q": [rq[draws[k]].item(), q.imag[draws[k]].item()], "a": floor[draws[k]].item()}
+    alpha, beta = _alpha_beta(q, a, lam)
+    rs = rho_star(q, a, lam)
+    r = rs * (1.0 + 1e-6 if cfg.negative_control else 1.0)
+    on = (alpha > 0.0) & (r < 1.0)
+    err = np.abs(t_function(alpha[on], beta[on], r[on]) - 1.0)
+    cond = 1.0 + rs[on] + (1.0 + beta[on]) * (1.0 - rs[on]) / alpha[on]
+    col.add_array(-err, 0.0, err, spec(on, a), lam[on], tol=1e-12 * cond)
+    # certified conditions must imply the radius comparison
+    on = np.logical_or(*_certifying_conditions(q, a, lam))
+    margin = starlike_main_margin(q[on], a[on], lam[on])
+    col.add_array(margin, 0.0, -margin, spec(on, a), lam[on])
+    # region boundary root sits at the a = 0 lambda threshold
+    err = np.abs(region_boundary(rq * threshold_m1(q, 0.0)))
+    col.add_array(-err, 0.0, err, spec(np.ones_like(rq, dtype=bool), np.zeros_like(a)), None, tol=1e-10)
     return col, cfg.n_draws, 3
 
 

@@ -33,3 +33,9 @@ def disk_points(rng, n, r_max=0.9):
     r = r_max * np.sqrt(rng.uniform(0, 1, n))
     a = rng.uniform(0, 2 * np.pi, n)
     return r * np.exp(1j * a)
+
+
+def critical_distortion_shortcut(q, a):
+    """sqrt(Re q / (4a + Re q)): a circulating shortcut for the distortion bound at lambda0 = 2 Re q / |q|^2,
+    wrong whenever a > 0 (q = 1, a = 1/4 gives sqrt(1/2) against the correct 1/2); kept as a test oracle."""
+    return (q.real / (4.0 * a + q.real)) ** 0.5

@@ -17,7 +17,6 @@ from resolvent_lab import (
     composed_accretivity,
     constant_generator,
     distortion_at_critical_lambda,
-    distortion_at_critical_lambda_simplified,
     distortion_bound,
     distortion_coefficients,
     extremal_generator,
@@ -36,6 +35,8 @@ from resolvent_lab import (
     region_boundary,
     starlike_main_margin,
 )
+
+from conftest import critical_distortion_shortcut
 
 SEED = 20260809
 
@@ -219,7 +220,7 @@ def test_criterion_8_semigroup():
 
 def test_criterion_9_known_discrepancy_regression():
     general = distortion_at_critical_lambda(1.0, 0.25)
-    shortcut = distortion_at_critical_lambda_simplified(1.0, 0.25)
+    shortcut = critical_distortion_shortcut(1.0, 0.25)
     assert general == pytest.approx(0.5, abs=1e-12)
     assert shortcut == pytest.approx(math.sqrt(0.5), abs=1e-12)
     assert abs(general - shortcut) > 0.2

@@ -11,10 +11,8 @@ from resolvent_lab import (
     composed_accretivity,
     constant_generator,
     distortion_at_critical_lambda,
-    distortion_at_critical_lambda_simplified,
     distortion_bound,
     distortion_coefficients,
-    distortion_curve,
     est1_bound,
     eval_p,
     extremal_generator,
@@ -31,6 +29,8 @@ from resolvent_lab import (
     value_disk,
 )
 from resolvent_lab.bounds import _g_floor
+
+from conftest import critical_distortion_shortcut
 
 
 def random_parameters(rng):
@@ -357,6 +357,12 @@ class TestThresholds:
         with pytest.raises(DomainError):
             threshold_m2(0.0, 1.0)
 
+    def test_m2_overflow_is_domain_error(self):
+        # (2 + s)^2 and s^2 overflow at s = lambda Re q = 1e300
+        for q, lam in ((1e300, 1.0), ([1.0, 1e300], [1.0, 1.0]), (1.0, 1e300)):
+            with pytest.raises(DomainError, match="M2 overflows a double"):
+                threshold_m2(q, lam)
+
 
 NAN, INF = float("nan"), float("inf")
 
@@ -382,8 +388,6 @@ NAN, INF = float("nan"), float("inf")
         (distortion_at_critical_lambda, (1.0, -1.0)),
         (distortion_at_critical_lambda, (complex(NAN, 0.0), 0.0)),
         (distortion_at_critical_lambda, (complex(1.0, NAN), 0.0)),
-        (distortion_at_critical_lambda_simplified, (1.0, NAN)),
-        (distortion_at_critical_lambda_simplified, (1.0, -1.0)),
     ],
     ids=lambda v: v.__name__ if callable(v) else repr(v),
 )
@@ -445,6 +449,9 @@ class TestRegionBoundary:
     def test_domain(self):
         with pytest.raises(DomainError):
             region_boundary(0.0)
+        # (2 + s)^2 overflows a double
+        with pytest.raises(DomainError, match="overflows a double at s = 1e"):
+            region_boundary([1.0, 1e200])
 
 
 class TestCriticalLambdaRegression:
@@ -465,11 +472,20 @@ class TestCriticalLambdaRegression:
         library follows the general formula (which the distortion bound
         confirms)."""
         general = distortion_at_critical_lambda(1.0, 0.25)
-        shortcut = distortion_at_critical_lambda_simplified(1.0, 0.25)
+        shortcut = critical_distortion_shortcut(1.0, 0.25)
         assert general == pytest.approx(0.5, abs=1e-12)
         assert shortcut == pytest.approx(math.sqrt(0.5), abs=1e-12)
         assert abs(general - shortcut) > 0.2
         assert distortion_bound(1.0, 0.25, 2.0) == pytest.approx(general, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "q,a,expected", [(1e-200, 0.0, 1.0), (1e-170, 1e-170, 1.0 / 3.0), (1e-300j + 1e-310, 0.0, 1.0)]
+    )
+    def test_tiny_q_does_not_underflow(self, q, a, expected):
+        # |q|^2 underflows to 0 here, so lambda0 = 2 Re q / |q|^2 cannot be formed
+        assert distortion_at_critical_lambda(q, a) == pytest.approx(expected, rel=1e-15)
+        both = distortion_at_critical_lambda([q, 1.0], [a, 0.25])
+        assert both.tolist() == pytest.approx([expected, 0.5], rel=1e-15)
 
 
 class TestSampledDistortion:
@@ -494,5 +510,6 @@ class TestSampledDistortion:
         assert abs(sol.w[0]) / 0.999 > 0.4995
 
     def test_fig_curve_helper(self):
+        # fig1's curve is the bound on the whole lambda grid at once
         lams = np.array([0.5, 2.0, 3.0])
-        np.testing.assert_allclose(distortion_curve(1.0, 0.0, lams), [1.0, 1.0, 0.5], atol=1e-12)
+        np.testing.assert_allclose(distortion_bound(1.0, 0.0, lams), [1.0, 1.0, 0.5], atol=1e-12)

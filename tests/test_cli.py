@@ -219,6 +219,13 @@ class TestFig2:
         code, _, _ = run_cli(capsys, "fig2", "--s-min", "-1", "--s-max", "1")
         assert code == 2
 
+    def test_overflowing_s_exits_2(self, capsys):
+        # t*(s) overflows a double above s = 1e154
+        code, out, err = run_cli(capsys, "fig2", "--s-min", "1", "--s-max", "1e200", "--n-points", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: t* overflows a double at s = 1e+200\n"
+
 
 class TestBoundsAndOrder:
     def test_bounds_json(self, capsys):
@@ -235,6 +242,8 @@ class TestBoundsAndOrder:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        # in its own process too, where a numpy RuntimeWarning would print more stderr lines
+        assert_exits_2_at_once("bounds", "--q", "1", "--lambda", "1e200", "--json")
 
     def test_order_certified(self, capsys):
         code, out, _ = run_cli(capsys, "order", "--q", "1", "--a", "0", "--lambda", "3.5", "--json")

@@ -1,18 +1,41 @@
-"""Property tests for the three input boundaries: spec JSON, complex text and suite configs.
+"""Property tests for the three input boundaries and for the closed forms over arrays.
 
-Whatever JSON-like value arrives, each boundary either builds its object or
-raises ConfigError or DomainError, never another exception.  Hypothesis
+Whatever JSON-like value arrives, each boundary (spec JSON, complex text,
+suite configs) either builds its object or raises ConfigError or
+DomainError, never another exception.  Each closed form of ``bounds``
+gives on an array the bits of its scalar calls, and on an array with one
+bad entry the DomainError of the scalar call on that entry.  Hypothesis
 runs derandomized and without its example database, so every run of the
 suite draws the same examples.
 """
 
 import dataclasses
+import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from resolvent_lab import ConfigError, DomainError, SuiteConfig, eval_p, spec_from_dict
+from resolvent_lab import (
+    ConfigError,
+    DomainError,
+    SuiteConfig,
+    composed_accretivity,
+    distortion_at_critical_lambda,
+    distortion_bound,
+    est1_bound,
+    eval_p,
+    region_boundary,
+    resolvent_accretivity,
+    rho_star,
+    spec_from_dict,
+    starlike_main_margin,
+    t_function,
+    threshold_m1,
+    threshold_m2,
+)
+from resolvent_lab.bounds import _certifying_conditions, _out, _t_refines
 from resolvent_lab.cli import parse_complex
 
 PROPERTY = settings(max_examples=120, derandomize=True, database=None, deadline=None)
@@ -107,3 +130,107 @@ def test_direct_config_builds_or_rejects(kw):
     except ConfigError:
         return
     assert SuiteConfig.from_dict({k: list(v) if isinstance(v, tuple) else v for k, v in kw.items()}) == cfg
+
+
+def _conditions(q, a, lam):
+    """calc_order's two conditions as one float per entry: 0 (neither), 1 (i) or 2 (ii)."""
+    cond_i, cond_ii = _certifying_conditions(np.asarray(q, dtype=complex), np.asarray(a, dtype=float), lam)
+    return _out(np.where(cond_i, 1.0, np.where(cond_ii, 2.0, 0.0)))
+
+
+def _refines(q, a, lam, r):
+    return _out(np.where(_t_refines(q, a, lam, r), 1.0, 0.0))
+
+
+# Each closed form with the parameters it takes, named as in entry_columns; the public ones check their input.
+PUBLIC_FORMS = [
+    (distortion_bound, "q a lam"),
+    (est1_bound, "q lam"),
+    (composed_accretivity, "q a lam"),
+    (resolvent_accretivity, "q a lam"),
+    (rho_star, "q a lam"),
+    (starlike_main_margin, "q a lam"),
+    (t_function, "alpha beta r"),
+    (threshold_m1, "q a"),
+    (threshold_m2, "q lam"),
+    (region_boundary, "s"),
+    (distortion_at_critical_lambda, "q a"),
+]
+CLOSED_FORMS = PUBLIC_FORMS + [(_conditions, "q a lam"), (_refines, "q a lam r")]
+# fewer examples than PROPERTY: 13 closed forms, each called once per entry of a grid
+CLOSED_FORM_PROPERTY = settings(PROPERTY, max_examples=40)
+
+# One valid entry: Re q, Im q, a as a share of Re q, lambda and a radius, over wide ranges so that the
+# products written for powers see many exponents.
+ENTRY = st.tuples(
+    st.floats(1e-3, 1e3), st.floats(-1e3, 1e3), st.floats(0.0, 1.0), st.floats(1e-4, 1e4),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+ENTRIES = st.lists(ENTRY, min_size=1, max_size=6)
+
+
+def entry_columns(entries, grid=False) -> dict:
+    """The entries as one array per parameter name; with ``grid``, q runs down a column and the rest along a row."""
+    rq, iq, share, lam, r = (np.array(c) for c in zip(*entries))
+    if grid:
+        rq, iq = rq[:, None], iq[:, None]
+    a = share * rq
+    return {
+        "q": rq + 1j * iq, "a": a, "lam": lam, "r": r,
+        "alpha": lam * (rq - a), "beta": lam * a, "s": lam * rq,
+    }
+
+
+# Entries at which a power written with ``**`` in place of a product gives the array call other bits than the
+# scalar call, in B, in the margin's square, in T's (1 - r)^2, and in (2 + s)^2 of M2 and t* (found by a search).
+POWER_SENSITIVE = [
+    (9.664293369800705, -0.30095697281386496, 0.13244582444802588, 1.5356373492058684, 0.7334272712203481),
+    (1.175728452461893, 1.2506570499104037, 0.8089007985028196, 0.16814219420422014, 0.6330673434684018),
+    (70.14934801616234, 23.585540430599526, 0.9145761879115151, 0.0011891427528792253, 0.7063340835232945),
+    (10.887422370748164, -53.81472354597766, 0.7452119803571815, 8.943917676317152, 0.9846045872463653),
+]
+
+
+@CLOSED_FORM_PROPERTY
+@pytest.mark.parametrize("fn,names", CLOSED_FORMS, ids=lambda v: getattr(v, "__name__", None))
+@given(entries=ENTRIES)
+@example(entries=POWER_SENSITIVE)
+def test_array_call_is_the_scalar_calls_bit_for_bit(fn, names, entries):
+    for grid in (False, True):
+        args = [entry_columns(entries, grid)[n] for n in names.split()]
+        got = np.asarray(fn(*args), dtype=float)
+        assert got.shape == np.broadcast_shapes(*(x.shape for x in args))
+        scalars = [fn(*row) for row in zip(*(x.ravel().tolist() for x in np.broadcast_arrays(*args)))]
+        assert all(type(v) is float for v in scalars)
+        assert got.ravel().tobytes() == np.array(scalars, dtype=float).tobytes()
+
+
+NAN, INF = math.nan, math.inf
+# Values that no closed form accepts for that parameter, whatever the other parameters are
+BAD_VALUES = {
+    "q": [complex(NAN, 0.0), complex(INF, 0.0), complex(1.0, -INF), -1.0],  # -1: Re q < a, and Re q <= 0
+    "a": [-1.0, NAN, INF],
+    "lam": [0.0, -1.0, NAN, INF, 1e200],  # 1e200: A and B, or M2, overflow
+    "alpha": [-1.0, NAN, INF],
+    "beta": [-1.0, NAN, INF],
+    "r": [-0.5, 1.0, NAN, INF],
+    "s": [0.0, -1.0, NAN, INF, 1e200],  # 1e200: t* overflows
+}
+
+
+@CLOSED_FORM_PROPERTY
+@pytest.mark.parametrize("fn,names", PUBLIC_FORMS, ids=lambda v: getattr(v, "__name__", None))
+@given(entries=ENTRIES, data=st.data())
+def test_one_bad_entry_raises_the_scalar_error(fn, names, entries, data):
+    cols = entry_columns(entries)
+    names = names.split()
+    name = data.draw(st.sampled_from(names))
+    k = data.draw(st.integers(0, len(entries) - 1))
+    bad = data.draw(st.sampled_from(BAD_VALUES[name]))
+    args = [cols[n].copy() for n in names]
+    args[names.index(name)][k] = bad
+    with pytest.raises(DomainError) as scalar:
+        fn(*(a[k].item() for a in args))
+    with pytest.raises(DomainError) as array:
+        fn(*args)
+    assert str(array.value) == str(scalar.value)

@@ -1,8 +1,9 @@
 """Verification harness: suite passes, negative controls, determinism, schema.
 
 ``golden_reports.json`` holds every suite's report at ``SMALL`` (seed 101),
-with and without the negative control, ``elapsed`` removed.  A change that
-moves a bit of any report on purpose regenerates it with
+with and without the negative control, and the ``thresholds`` reports at the
+default config (seed 1729), ``elapsed`` removed.  A change that moves a bit
+of any report on purpose regenerates it with
 ``PYTHONPATH=src python tests/test_verify.py`` and lists the differences.
 """
 
@@ -37,13 +38,22 @@ def stable(report) -> dict:
     return data
 
 
-def small_reports() -> dict:
-    """Every suite's stable report at SMALL, keyed "pass/<suite>" and "negative_control/<suite>"."""
-    return {
+KINDS = (("pass", False), ("negative_control", True))
+
+
+def golden_reports() -> dict:
+    """Every suite's stable report at SMALL, keyed "pass/<suite>" and "negative_control/<suite>",
+    then the thresholds reports at the default config, keyed "default/pass/thresholds" and so on."""
+    small = {
         f"{kind}/{name}": stable(run_suite(name, dataclasses.replace(SMALL, negative_control=control), SMALL_SEED))
-        for kind, control in (("pass", False), ("negative_control", True))
+        for kind, control in KINDS
         for name in SUITE_NAMES
     }
+    default = {
+        f"default/{kind}/thresholds": stable(run_suite("thresholds", SuiteConfig(negative_control=control), 1729))
+        for kind, control in KINDS
+    }
+    return small | default
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -61,6 +71,13 @@ def test_negative_control_trips(name):
     report = run_suite(name, cfg, seed=SMALL_SEED)
     assert len(report.violations) >= 1, f"{name}: control failed to trip"
     assert stable(report) == GOLDEN[f"negative_control/{name}"]
+
+
+@pytest.mark.parametrize("kind,control", KINDS)
+def test_default_thresholds_report(kind, control):
+    # thresholds is all closed forms, cheap enough to pin at its full default size of 10 000 draws
+    report = run_suite("thresholds", SuiteConfig(negative_control=control), seed=1729)
+    assert stable(report) == GOLDEN[f"default/{kind}/thresholds"]
 
 
 def test_unknown_suite():
@@ -213,5 +230,5 @@ def test_no_false_alarm_at_seed_11(name):
 
 if __name__ == "__main__":
     # one report per line
-    lines = [f"{json.dumps(key)}: {json.dumps(report, sort_keys=True)}" for key, report in small_reports().items()]
+    lines = [f"{json.dumps(key)}: {json.dumps(report, sort_keys=True)}" for key, report in golden_reports().items()]
     GOLDEN_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")
