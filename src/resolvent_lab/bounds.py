@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import _check, _check_lambda
 
 
 def _abs2(v):
@@ -58,14 +58,6 @@ def _abs2(v):
 def _out(x):
     """A 0-d result as a Python float, any other result as the array."""
     return float(x) if np.ndim(x) == 0 else x
-
-
-def _check(ok, message: str, *values) -> None:
-    """DomainError unless ``ok`` holds everywhere; the message shows ``values`` at the first entry where it fails."""
-    ok = np.asarray(ok)
-    if not ok.all():
-        first = np.unravel_index(np.argmin(ok), ok.shape)
-        raise DomainError(message.format(*(np.broadcast_to(v, ok.shape)[first].item() for v in values)))
 
 
 def _finite_q(q) -> np.ndarray:
@@ -80,12 +72,6 @@ def _check_floor(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     _check((0.0 <= a) & (a < math.inf), "accretivity floor must be finite and >= 0, got a = {}", a)
     return a
-
-
-def _check_lambda(lam) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float)
-    _check(np.isfinite(lam) & (lam > 0.0), "lambda must be positive, got {}", lam)
-    return lam
 
 
 def _validate_qal(q, a, lam):
@@ -261,20 +247,28 @@ def starlike_order_from_rho(q: complex, a: float, lam: float, rho: float) -> Ord
     return OrderEstimate(order=0.5, strong_order=1.0, refined=False)
 
 
+def _m1(q, a):
+    """M1 where Re q > 0 and a >= 0: NaN where a > 1.25 Re q, inf where it overflows a double."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = a / q.real
+        return (np.sqrt(5.0 - 4.0 * s) + 1.0 - 2.0 * s) / ((1.0 + s) * q.real)
+
+
 def threshold_m1(q, a):
     """Lambda threshold M1 beyond which the order certificate applies.
 
     (sqrt(5 Re^2 q - 4 a Re q) + Re q - 2a) / ((Re q + a) Re q), evaluated
     as (sqrt(5 - 4s) + 1 - 2s) / ((1 + s) Re q) with s = a / Re q so that no
-    product underflows; requires Re q > 0 and a <= 1.25 Re q.
+    product underflows; requires Re q > 0 and a <= 1.25 Re q, and a
+    DomainError when it overflows a double (Re q below about 3e-308).
     """
     q = _finite_q(q)
     _check(q.real > 0.0, "threshold requires Re q > 0, got {}", q.real)
     a = _check_floor(a)
-    with np.errstate(over="ignore"):
-        s = a / q.real
-        _check(5.0 - 4.0 * s >= 0.0, "threshold undefined for a = {} > 1.25 Re q", a)
-        return _out((np.sqrt(5.0 - 4.0 * s) + 1.0 - 2.0 * s) / ((1.0 + s) * q.real))
+    m1 = _m1(q, a)
+    _check(~np.isnan(m1), "threshold undefined for a = {} > 1.25 Re q", a)
+    _check(np.isfinite(m1), "M1 overflows a double at q = {}, a = {}", q, a)
+    return _out(m1)
 
 
 def threshold_m2(q, lam):
@@ -318,8 +312,8 @@ def _certifying_conditions(q, a, lam):
     """Where condition (i) and where (ii) of ``calc_order`` hold on validated input; neither where Re q <= 0."""
     qr = q.real
     steep = lam * _abs2(q) >= 2.0 * qr
-    # entries whose M1 or M2 is not read take q = 1 or lambda = 1 there, where both are defined
-    m1 = threshold_m1(np.where(qr > 0.0, q, 1.0), a)
+    # unread entries take q = 1 or lambda = 1, where M1 and M2 are defined; an M1 that overflows is inf
+    m1 = _m1(np.where(qr > 0.0, q, 1.0), a)
     m2 = threshold_m2(np.where(steep | (qr <= 0.0), 1.0, q), np.where(steep, 1.0, lam))
     return (qr > 0.0) & steep & (lam > m1), (qr > 0.0) & ~steep & (a > m2)
 

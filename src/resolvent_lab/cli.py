@@ -29,7 +29,7 @@ from .bounds import (
     threshold_m1,
     threshold_m2,
 )
-from .exceptions import ConfigError, NonConvergenceError, ResolventLabError
+from .exceptions import ConfigError, NonConvergenceError, ResolventLabError, _check_count
 from .herglotz import _read_json, extremal_generator, load_spec
 from .resolvent import solve_resolvent
 from .semigroup import integrate, squeeze_check
@@ -159,10 +159,8 @@ def cmd_order(args) -> int:
 def cmd_fig1(args) -> int:
     if args.lambda_min <= 0 or args.lambda_max < args.lambda_min:
         raise ConfigError("need 0 < lambda-min <= lambda-max")
-    if args.n_points < 1:
-        raise ConfigError("need at least one grid point")
     q = parse_complex(args.q)
-    lams = np.linspace(args.lambda_min, args.lambda_max, args.n_points)
+    lams = np.linspace(args.lambda_min, args.lambda_max, int(_check_count(args.n_points, "n_points")))
     rows = ((_fmt(l), _fmt(d)) for l, d in zip(lams, distortion_bound(q, args.a, lams)))
     _write(args.out, "lambda,distortion", rows)
     return 0
@@ -171,9 +169,7 @@ def cmd_fig1(args) -> int:
 def cmd_fig2(args) -> int:
     if not (0 < args.s_min < args.s_max):
         raise ConfigError("need 0 < s-min < s-max")
-    if args.n_points < 1:
-        raise ConfigError("need at least one grid point")
-    grid = np.linspace(args.s_min, args.s_max, args.n_points)
+    grid = np.linspace(args.s_min, args.s_max, int(_check_count(args.n_points, "n_points")))
     rows = ((_fmt(s), _fmt(t)) for s, t in zip(grid, region_boundary(grid)))
     _write(args.out, "s,t_star", rows)
     return 0

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import ConfigError, DomainError
+from .exceptions import ConfigError, DomainError, _check, _check_points
 
 TWO_PI = 2.0 * math.pi
 
@@ -106,8 +106,7 @@ class Disk:
     radius: float
 
     def __post_init__(self):
-        if not math.isfinite(self.radius) or self.radius < 0.0:
-            raise DomainError(f"disk radius must be finite and >= 0, got {self.radius}")
+        _check(0.0 <= self.radius < math.inf, "disk radius must be finite and >= 0, got {}", self.radius)
 
 @lru_cache(maxsize=4096)
 def _atom_arrays(spec: GeneratorSpec):
@@ -170,19 +169,10 @@ def _kernel(spec, weights, conj_zetas, const, z, near_rim):
     dp = 2.0 * spec.scale * (inv * inv) @ (weights * conj_zetas)
     return p, dp
 
-def _check_in_disk(z, what: str = "evaluation"):
-    """Raise DomainError unless every |z| < 1; NaN counts as outside."""
-    absz = np.abs(z)
-    inside = absz < 1.0
-    if not inside.all():
-        raise DomainError(f"{what} requires |z| < 1, got |z| = {np.ravel(absz)[~np.ravel(inside)][0]}")
-
 def _evaluate(spec: GeneratorSpec, z, k: int):
     """Entry k of (p, p') at a scalar or an ndarray of points with |z| < 1."""
     scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
-    arr = np.asarray(z, dtype=complex)
-    _check_in_disk(arr)
-    v = _p_and_dp(spec, arr)[k]
+    v = _p_and_dp(spec, _check_points(z))[k]
     return complex(v[()]) if scalar else v
 
 def eval_p(spec: GeneratorSpec, z):
@@ -204,8 +194,7 @@ def value_disk(spec: GeneratorSpec, r: float) -> Disk:
     2 r (Re q - a) / (1 - r^2).  For r = 0 this degenerates to {q};
     for scale = 0 the radius vanishes at every r.
     """
-    if not (0.0 <= r < 1.0):
-        raise DomainError(f"radius must satisfy 0 <= r < 1, got {r}")
+    _check(0.0 <= r < 1.0, "radius must satisfy 0 <= r < 1, got {}", r)
     q = spec.q
     denom = 1.0 - r * r
     center = (q + r * r * q.conjugate() - 2.0 * spec.a * r * r) / denom
@@ -221,8 +210,7 @@ def harnack_bounds(spec: GeneratorSpec, r: float):
     These equal Re(center) -/+ radius of ``value_disk`` identically, and
     lo decreases to a as r -> 1.
     """
-    if not (0.0 <= r < 1.0):
-        raise DomainError(f"radius must satisfy 0 <= r < 1, got {r}")
+    _check(0.0 <= r < 1.0, "radius must satisfy 0 <= r < 1, got {}", r)
     rq = spec.q.real
     lo = ((1.0 - r) * rq + 2.0 * spec.a * r) / (1.0 + r)
     hi = ((1.0 + r) * rq - 2.0 * spec.a * r) / (1.0 - r)

@@ -45,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, DomainError, NonConvergenceError
-from .herglotz import GeneratorSpec, _check_in_disk, _p_and_dp
+from .exceptions import ConfigError, DomainError, NonConvergenceError, _check_count, _check_lambda, _check_points
+from .herglotz import GeneratorSpec, _p_and_dp
 
 DEFAULT_TOL = 1e-12
 MAX_ITER = 10_000
@@ -211,16 +211,12 @@ def solve_resolvent_grid(
     With ``strict`` (default) any unconverged point raises
     NonConvergenceError; otherwise inspect ``converged``.
     """
-    lam = np.asarray(lam, dtype=float)
-    bad = ~(np.isfinite(lam) & (lam > 0.0))
-    if bad.any():
-        raise DomainError(f"lambda must be positive and finite, got {lam[bad].flat[0]}")
+    lam = _check_lambda(lam)
     if not np.isfinite(tol) or tol < _MIN_TOL:
         raise ConfigError(f"tolerance must be >= {_MIN_TOL:g}, got {tol}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
         raise ConfigError(f"max_iter must be an integer >= 0, got {max_iter!r}")
-    arr = np.asarray(z, dtype=complex)
-    _check_in_disk(arr, "resolvent argument")
+    arr = _check_points(z)
     try:
         arr, lam = np.broadcast_arrays(arr, lam)
     except ValueError as exc:
@@ -283,12 +279,7 @@ def iterate_resolvent(spec: GeneratorSpec, lam, z, n):
     lambda, and the points still running share one grid solve per step.
     n must hold integers >= 1.  Scalar input returns a complex.
     """
-    counts = np.asarray(n)
-    if counts.size and counts.dtype.kind not in "iu":  # an empty list is float to numpy
-        raise DomainError(f"composition count must be an integer, got {n!r}")
-    lams, z, counts = np.broadcast_arrays(lam, np.asarray(z, dtype=complex), counts.astype(np.int64))
-    if (counts < 1).any():
-        raise DomainError(f"composition count must be >= 1, got {counts.min()}")
+    lams, z, counts = np.broadcast_arrays(lam, np.asarray(z, dtype=complex), _check_count(n, "composition count"))
     w = z.copy()
     for k in range(int(counts.max(initial=0))):
         running = counts > k

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import DomainError, _check_count
 from .herglotz import GeneratorSpec
 from .resolvent import solve_resolvent_grid
 
@@ -39,11 +39,10 @@ def _scan_points(n_samples, r_max) -> np.ndarray:
     atom directions.  n_samples must be an integer >= 1 and r_max must lie
     in (0, 0.999].
     """
-    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
-        raise DomainError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    n_samples = int(_check_count(n_samples, "n_samples"))
     if not (0.0 < r_max <= 0.999):
         raise DomainError(f"r_max must lie in (0, 0.999], got {r_max}")
-    n_samples, r_max = int(n_samples), float(r_max)
+    r_max = float(r_max)
     n_ring = max(8, min((3 * n_samples) // 4, n_samples - 4))
     n_in = max(0, n_samples - n_ring - 4)
     ang = 2.0 * np.pi * (np.arange(n_ring) + 0.371) / n_ring

@@ -41,7 +41,7 @@ Tolerances follow the rounding error between claim and check: analytic
 identities 1e-12 (the T(rho*) = 1 identity scaled by the conditioning of
 T at rho*), solver-mediated inequalities 1e-8 (1e-9 for the distortion
 family), value-disk and Harnack checks 1e-10 relative to the compared
-magnitude, ODE-mediated checks 1e-6 (1e-8 envelopes).
+magnitude, flow envelopes 1e-8, and product-formula gap ratios 0.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ from .herglotz import (
     value_disk,
 )
 from .resolvent import solve_resolvent_grid
-from .semigroup import MAX_T_END, integrate, ladder_gaps
+from .semigroup import integrate, ladder_gaps
 
 # Bound here but not called: perfbench's traced run wraps them in this
 # namespace, and tests/test_bindings.py pins every name that run looks up.
@@ -138,7 +138,7 @@ class SuiteConfig:
     a_range: tuple = SampleConfig.a_range
     scale_range: tuple = SampleConfig.scale_range
     gamma_range: tuple = SampleConfig.gamma_range
-    # ODE-flavoured suites
+    # flow suites (squeeze, product_formula)
     n_trajectories: int = 4
     t_end: float = 1.0
     ladder: tuple = (8, 16, 32, 64, 128)
@@ -164,8 +164,8 @@ class SuiteConfig:
             raise ConfigError(f"r_max must lie in (0, 1), got {self.r_max}")
         if not all(0.0 < lam < math.inf for lam in self.lambda_range):
             raise ConfigError(f"lambda_range entries must be positive and finite, got {list(self.lambda_range)}")
-        if not 0.0 <= self.t_end <= MAX_T_END:
-            raise ConfigError(f"t_end must lie in [0, {MAX_T_END:g}], got {self.t_end}")
+        if not 0.0 <= self.t_end < math.inf:
+            raise ConfigError(f"t_end must be finite and >= 0, got {self.t_end}")
         # product_formula compares gap(2n) with gap(n)
         if any(n2 != 2 * n1 for n1, n2 in zip(self.ladder, self.ladder[1:])):
             raise ConfigError(f"each ladder rung must double the one before, got {list(self.ladder)}")
@@ -508,17 +508,14 @@ def _suite_product_formula(cfg: SuiteConfig, seed: int):
     specs = _spec_pool(seed, 0xF0, cfg.n_trajectories, (_SHARP, constant_generator(1.0)), cfg.sample_config())
     bound = _PRODUCT_RATIO_CONTROL if cfg.negative_control else _PRODUCT_RATIO_BOUND
     z0s = [0.5 + 0.0j, -0.35 + 0.35j]
-    n_per = 0
     for spec in specs:
-        n_per = 0
         for z0 in z0s:
             gaps = ladder_gaps(spec, z0, cfg.t_end, ns=cfg.ladder)
             for (n1, g1), (n2, g2) in zip(gaps, gaps[1:]):
                 if g1 < _PRODUCT_GAP_FLOOR:
                     continue
                 col.add_array(bound * g1 - g2, bound * g1, g2, spec, cfg.t_end / n1, z0)
-                n_per += 1
-    return col, len(specs), max(n_per, 1)
+    return col, len(specs), col.count // len(specs)
 
 
 def _suite_thresholds(cfg: SuiteConfig, seed: int):

@@ -269,6 +269,15 @@ class TestBoundsAndOrder:
         assert data["rho"] == 1.0
         assert (data["order"], data["strong_order"], data["refined"]) == (0.5, 1.0, False)
 
+    def test_bounds_m1_overflow_exits_2(self):
+        # M1 ~ 3.2e310 at q = 1e-310 once printed "M1": Infinity, which is not JSON, and exited 0
+        assert_exits_2_at_once("bounds", "--q", "1e-310", "--lambda", "1", "--json")
+
+    def test_order_reads_m1_overflow_as_not_certified(self, capsys):
+        code, out, err = run_cli(capsys, "order", "--q", "1e-310", "--lambda", "1")
+        assert code == 0, err
+        assert out.startswith("certified = none")
+
     def test_bounds_tiny_q(self, capsys):
         code, out, err = run_cli(capsys, "bounds", "--q", "1e-200", "--lambda", "1e100", "--json")
         assert code == 0, err
@@ -292,12 +301,19 @@ class TestSemigroupCommand:
         assert "squeeze ok = true" in err
 
     @staticmethod
-    def _assert_exits_2_at_once(*argv):
-        assert_exits_2_at_once("semigroup", "--q", "1", "--z0", "0.5", *argv)
+    def _assert_exits_0_at_once(*argv):
+        # in its own process within run_process's timeout: 201 finite rows, and only the two summary lines on stderr
+        proc = run_process("semigroup", "--q", "1", "--z0", "0.5", *argv)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "t,re_u,im_u,abs_u,envelope" and len(lines) == 202
+        assert all(math.isfinite(float(x)) for line in lines[1:] for x in line.split(","))
+        err = proc.stderr.splitlines()
+        assert len(err) == 2 and err[0].startswith("endpoint = ") and err[1].startswith("squeeze ok = true")
 
-    def test_huge_t_end_exits_2_at_once(self):
-        # unbounded, the step count grows like t_end and the call never ends
-        self._assert_exits_2_at_once("--t-end", "1e300")
+    def test_huge_t_end_exits_0_at_once(self):
+        # the exact flow's cost does not grow with t_end
+        self._assert_exits_0_at_once("--t-end", "1e300")
 
     def test_tol_flag_exits_2(self):
         # the flow is exact, so --tol is gone and argparse rejects it
@@ -306,9 +322,9 @@ class TestSemigroupCommand:
         assert proc.stdout == ""
         assert "unrecognized arguments: --tol 1e-9" in proc.stderr
 
-    def test_large_q_exits_2_at_once(self):
-        # the step count grows like |q| t_end: 93 s at q = 1e6, t_end = 1
-        self._assert_exits_2_at_once("--q", "1e6")
+    def test_large_q_exits_0_at_once(self):
+        # nor with |q| t_end (q = 1e6, t_end = 1)
+        self._assert_exits_0_at_once("--q", "1e6")
 
 
 class TestVerifyCommand:
@@ -358,6 +374,16 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("suite,code,last", [("squeeze", 0, "suite squeeze: 0 violation(s)"),
+                                                 ("product_formula", 2, "error: suite product_formula checked no")])
+    def test_flow_suites_take_huge_t_end(self, tmp_path, suite, code, last):
+        # every sample underflows to 0: squeeze passes, and the product formula has no gap above its floor left
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.CONFIG, "t_end": 1e300}))
+        proc = run_process("verify", "--suite", suite, "--config", str(cfg))
+        assert proc.returncode == code
+        assert proc.stderr.startswith(last) and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
         "suite,override",

@@ -4,7 +4,8 @@ Whatever JSON-like value arrives, each boundary (spec JSON, complex text,
 suite configs) either builds its object or raises ConfigError or
 DomainError, never another exception.  Each closed form of ``bounds``
 gives on an array the bits of its scalar calls, and on an array with one
-bad entry the DomainError of the scalar call on that entry.  Hypothesis
+bad entry the DomainError of the scalar call on that entry.  Each rule on
+lambda, points and counts gives one wording at every entry point.  Hypothesis
 runs derandomized and without its example database, so every run of the
 suite draws the same examples.
 """
@@ -24,11 +25,19 @@ from resolvent_lab import (
     composed_accretivity,
     distortion_at_critical_lambda,
     distortion_bound,
+    empirical_order,
     est1_bound,
     eval_p,
+    extremal_generator,
+    integrate,
+    integrate_composed,
+    iterate_resolvent,
+    ladder_gaps,
     region_boundary,
     resolvent_accretivity,
     rho_star,
+    solve_resolvent,
+    solve_resolvent_grid,
     spec_from_dict,
     starlike_main_margin,
     t_function,
@@ -234,3 +243,64 @@ def test_one_bad_entry_raises_the_scalar_error(fn, names, entries, data):
     with pytest.raises(DomainError) as array:
         fn(*args)
     assert str(array.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_m1_overflow_raises_the_scalar_error(k):
+    # M1 ~ 3.2e310 at Re q = 1e-310: a DomainError, like M2 and t* when they overflow, never inf
+    q, a = np.array([1.0, 0.5 + 1.0j, 2.0]), np.array([0.25, 0.0, 1.0])
+    q[k], a[k] = 1e-310, 0.0
+    with pytest.raises(DomainError, match="M1 overflows a double") as scalar:
+        threshold_m1(q[k].item(), a[k].item())
+    with pytest.raises(DomainError) as array:
+        threshold_m1(q, a)
+    assert str(array.value) == str(scalar.value)
+    # calc_order's condition (i) reads that M1 as "no lambda exceeds it", whatever lambda is
+    assert not _certifying_conditions(q, a, np.full(3, 1e300))[0][k]
+
+
+# One rule, one wording: each entry point that takes lambda, a point or a count applies the one rule of
+# ``exceptions``, so the same bad input gives the same DomainError message wherever it enters.
+SPEC = extremal_generator(1.0, 0.0)
+LAMBDA_ENTRIES = [
+    lambda lam: distortion_bound(1.0, 0.0, lam),
+    lambda lam: solve_resolvent_grid(SPEC, lam, [0.5]),
+    lambda lam: solve_resolvent(SPEC, lam, 0.5),
+    lambda lam: integrate_composed(SPEC, lam, 0.5, 1.0),
+]
+POINT_ENTRIES = [
+    lambda z: eval_p(SPEC, z),
+    lambda z: solve_resolvent_grid(SPEC, 1.0, z),
+    lambda z: integrate(SPEC, z, 1.0),
+]
+# each count entry point with the name and the minimum of its count
+COUNT_ENTRIES = [
+    (lambda n: iterate_resolvent(SPEC, 0.1, 0.5, n), "composition count", 1),
+    (lambda n: ladder_gaps(SPEC, 0.5, 1.0, ns=(n,)), "composition count", 1),
+    (lambda n: integrate(SPEC, 0.5, 1.0, n_eval=n), "n_eval", 2),
+    (lambda n: empirical_order(SPEC, 1.0, n_samples=n), "n_samples", 1),
+]
+
+
+def _message(call, value) -> str:
+    with pytest.raises(DomainError) as info:
+        call(value)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, NAN, INF])
+def test_one_lambda_rule_one_wording(lam):
+    assert {_message(call, lam) for call in LAMBDA_ENTRIES} == {f"lambda must be positive and finite, got {lam}"}
+
+
+@pytest.mark.parametrize("z", [1.0, complex(NAN, 0.0)])
+def test_one_point_rule_one_wording(z):
+    expected = f"points must lie in the open unit disk, got |z| = {abs(z)}"
+    assert {_message(call, z) for call in POINT_ENTRIES} == {expected}
+
+
+@pytest.mark.parametrize("n", [2.7, 2.0, True, 0])
+@pytest.mark.parametrize("call,name,minimum", COUNT_ENTRIES,
+                         ids=["iterate_resolvent", "ladder_gaps", "integrate", "empirical_order"])
+def test_one_count_rule_one_wording(call, name, minimum, n):
+    assert _message(call, n) == f"{name} must be an integer >= {minimum}, got {n!r}"

@@ -7,6 +7,7 @@ from resolvent_lab import (
     DomainError,
     GeneratorSpec,
     IntegrationError,
+    SampleConfig,
     constant_generator,
     composed_accretivity,
     eval_p,
@@ -22,7 +23,6 @@ from resolvent_lab import (
 )
 from resolvent_lab import semigroup
 from resolvent_lab.herglotz import _p_and_dp
-from resolvent_lab.semigroup import MAX_T_END
 
 
 class TestIntegrate:
@@ -65,13 +65,26 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(single_atom, 0.5, -1.0)
 
-    @pytest.mark.parametrize("t_end", [-1.0, float("nan"), float("inf"), 2.0 * MAX_T_END, 1e300])
+    @pytest.mark.parametrize("t_end", [-1.0, float("nan"), float("inf")])
     def test_both_integrators_reject_bad_t_end(self, single_atom, t_end):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="t_end must be finite and >= 0"):
             integrate(single_atom, 0.5, t_end)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="t_end must be finite and >= 0"):
             integrate_composed(single_atom, 1.0, 0.5, t_end)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t_end", [2e4, 1e300])
+    def test_both_integrators_match_closed_forms_at_large_t_end(self, single_atom, t_end):
+        # the flow's cost does not grow with t_end: the single atom keeps u / (1 + u)^2 = z0 / (1 + z0)^2 e^(-t),
+        # and the composed flow of p == q is z0 e^(-q t / (1 + lam q)), both 0 once e^(-t) underflows
+        traj = integrate(single_atom, 0.5, t_end)
+        u, t = traj.points, traj.times
+        assert np.allclose(u / (1.0 + u) ** 2, 0.5 / 1.5**2 * np.exp(-t), rtol=1e-12, atol=0.0)
+        q = 1.0 + 1.0j
+        traj = integrate_composed(constant_generator(q), 1.0, 0.5, t_end)
+        assert np.allclose(traj.points, 0.5 * np.exp(-q / (1.0 + q) * traj.times), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "spec,lam",
         [
@@ -81,14 +94,38 @@ class TestIntegrate:
         ],
         ids=["atom-q-1e6", "constant-q-1e6", "q-near-overflow"],
     )
-    def test_both_integrators_bound_rate_times_t_end(self, spec, lam):
-        # an input rule: RK45 took about |q / (1 + lam q)| * t_end steps; q = 1e6 at t_end = 1 once took 93 s
-        for t_end in (1.0, 2.0 * MAX_T_END / 1e6):
-            with pytest.raises(DomainError, match="lambda q"):
-                integrate(spec, 0.5, t_end)
-            with pytest.raises(DomainError, match="lambda q"):
-                integrate_composed(spec, lam, 0.5, t_end)
+    def test_both_integrators_take_large_rate_times_t_end(self, spec, lam):
+        # |q / (1 + lam q)| t_end up to 1e308.  A single atom at theta = 0 has the closed form
+        # K(u(t)) = K(z0) e^(-q t), K(u) = u (1 + u c / q)^(-2 scale / c) with c = scale - a - i gamma:
+        # u e^(-q t) for p == q, and u / (1 + u)^2 = z0 / (1 + z0)^2 e^(-q t) for a = gamma = 0
+        q, c = spec.q, complex(spec.scale - spec.a, -spec.gamma)
+
+        def koenigs(u):
+            return u * (1.0 + u * c / q) ** (-2.0 * spec.scale / c)
+
+        for t_end in (1.0, 0.02):
+            traj = integrate(spec, 0.5, t_end)
+            assert traj.points.size == 201
+            assert np.all(np.abs(koenigs(traj.points) - koenigs(0.5) * np.exp(-q * traj.times))
+                          <= 1e-12 * abs(koenigs(0.5)))
+            traj = integrate_composed(spec, lam, 0.5, t_end)
+            mods = np.abs(traj.points)
+            assert np.all(np.isfinite(mods)) and np.all(np.diff(mods) <= 0.0) and mods[0] == 0.5
+            if spec.scale == 0.0:
+                assert np.allclose(traj.points, 0.5 * np.exp(-q / (1.0 + lam * q) * traj.times), rtol=1e-9, atol=0.0)
+        # far out e^(-Re q t), and with it K(u), underflows: every sample past t = 0 is 0, also where q t
+        # overflows a double (the near-overflow atom)
+        assert np.all(integrate(spec, 0.5, 30.0).points[1:] == 0.0)
+        assert np.all(integrate_composed(spec, lam, 0.5, 30.0).points[1:] == 0.0)
         assert integrate(spec, 0.5, 0.0).endpoint == 0.5
+
+    @pytest.mark.filterwarnings("error")
+    def test_flow_without_a_phase_is_an_integration_error(self):
+        # p == 1e308 i turns u at t = 2 by 2e308 radians, which no double holds, while |u| stays |z0|
+        with pytest.raises(IntegrationError, match="overflows a double") as info:
+            integrate(constant_generator(1e308j), 0.5, 2.0)
+        assert info.value.trajectory.points.tolist() == [0.5]
+        assert abs(integrate(constant_generator(1e308j), 0.5, 1.0).endpoint) == pytest.approx(0.5, rel=1e-15)
 
     def test_composed_rate_falls_with_lambda(self):
         # q / (1 + lam q) is about 1 / lam, so a large q composes with lam = 1 at t_end = 1
@@ -192,6 +229,26 @@ class TestSqueeze:
         for spec in random_specs[:6]:
             traj = integrate(spec, -0.5 + 0.3j, 1.5)
             assert squeeze_check(traj, spec.a).ok
+
+
+# A 30-atom generator with a near-double zero of p: at t_end = 30 from z0 = 0.9, dividing by a subnormal in the
+# pair's term once overflowed, and rescaling an underflowed guess divided by zero.
+NEAR_PAIR = sample_generator(540722093982,
+                             SampleConfig(max_atoms=40, scale_range=(0.0, 50.0), gamma_range=(-20.0, 20.0)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t_end", [30.0, 746.0, 1e4, 1e300])
+def test_flows_stay_finite_and_quiet_once_the_target_underflows(single_atom, random_specs, t_end):
+    # each sample is finite and inside its envelope e^(-a t)|z0|, or e^(-a_lambda t)|z0| for the composed flow
+    for spec in [single_atom, NEAR_PAIR] + random_specs[:4]:
+        for z0 in (0.5, 0.9, -0.6 + 0.3j):
+            traj = integrate(spec, z0, t_end)
+            assert np.all(np.isfinite(traj.points)) and squeeze_check(traj, spec.a).ok
+            for lam in (0.5, 2.0):
+                traj = integrate_composed(spec, lam, z0, t_end)
+                floor = composed_accretivity(spec.q, spec.a, lam)
+                assert np.all(np.isfinite(traj.points)) and squeeze_check(traj, floor).ok
 
 
 class TestFlowResolventConsistency:
