@@ -324,7 +324,8 @@ def calc_order(q: complex, a: float, lam: float):
     Condition (i): lambda |q|^2 >= 2 Re q and lambda > M1(q, a).
     Condition (ii): lambda |q|^2 < 2 Re q and a > M2(q, lambda).
     Returns None when neither condition holds -- a first-class outcome
-    distinguishing "not certified" from an error.
+    distinguishing "not certified" from an error.  A condition that holds
+    where the distortion bound rounds to 1 is a DomainError naming q.
     """
     q, a, lam = _validate_qal(q, a, lam)
     cond_i, cond_ii = _certifying_conditions(q, a, lam)
@@ -334,7 +335,11 @@ def calc_order(q: complex, a: float, lam: float):
         raise RuntimeError(
             "internal inconsistency: certified condition failed the radius comparison"
         )
-    order = _order(t_function(*_alpha_beta(q, a, lam), distortion_bound(q, a, lam)))
+    rho = distortion_bound(q, a, lam)
+    # T(rho) needs rho < 1; the bound can round to 1 where lambda Re q and lambda a are tiny
+    _check(rho < 1.0, "the distortion bound rounds to 1 at q = {}, a = {}, lambda = {}, so T(rho) and the "
+           "certified order have no value", q, a, lam)
+    order = _order(t_function(*_alpha_beta(q, a, lam), rho))
     return OrderCertificate(order=order, condition="i" if cond_i else "ii")
 
 

@@ -45,7 +45,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, DomainError, NonConvergenceError, _check_count, _check_lambda, _check_points
+from .exceptions import (
+    MAX_COMPOSITIONS,
+    ConfigError,
+    DomainError,
+    NonConvergenceError,
+    _check_count,
+    _check_lambda,
+    _check_points,
+)
 from .herglotz import GeneratorSpec, _p_and_dp
 
 DEFAULT_TOL = 1e-12
@@ -277,9 +285,10 @@ def iterate_resolvent(spec: GeneratorSpec, lam, z, n):
 
     lam, z and n broadcast: each point takes its own n steps at its own
     lambda, and the points still running share one grid solve per step.
-    n must hold integers >= 1.  Scalar input returns a complex.
+    n must hold integers in [1, MAX_COMPOSITIONS].  Scalar input returns a complex.
     """
-    lams, z, counts = np.broadcast_arrays(lam, np.asarray(z, dtype=complex), _check_count(n, "composition count"))
+    counts = _check_count(n, "composition count", maximum=MAX_COMPOSITIONS)
+    lams, z, counts = np.broadcast_arrays(lam, np.asarray(z, dtype=complex), counts)
     w = z.copy()
     for k in range(int(counts.max(initial=0))):
         running = counts > k

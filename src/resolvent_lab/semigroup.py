@@ -66,10 +66,31 @@ converged prefix.
   ``_TERMS_TOL`` rather than return a wrong trajectory.
 
 The n-fold resolvent composition G_{t/n} o ... o G_{t/n} approximates the
-flow at time t with an O(1/n) gap (the product formula).  ``ladder_gaps``
-is its one entry point: a ladder of n values shares one flow endpoint and
-composes all its rungs together, one grid solve per step, and one n is a
-one-rung ladder.
+flow at time t with an O(1/n) gap (the product formula; Chernoff,
+Crandall-Liggett).  ``ladder_gaps`` is its one entry point, and one n is a
+one-rung ladder.  A rung of n steps, s = t/n and w_0 = z0, is one system
+
+    R_k = w_k (1 + s p(w_k)) - w_(k-1) = 0,   k = 1 ... n,
+
+whose Jacobian is lower bidiagonal, F'_k = 1 + s p(w_k) + s p'(w_k) w_k on
+the diagonal and -1 below it.  So a Newton correction is the linear
+recurrence delta_k = (delta_(k-1) - R_k) / F'_k, which recursive doubling
+solves in log2(n) vectorised steps: Newton over the whole sequence, as in
+DEER (Lim et al., ICLR 2024) and parareal as multiple shooting (Lions,
+Maday & Turinici 2001).  Every rung starts from the exact flow at its times
+k t / n, all from one root-find that also gives the endpoint u(t), and all
+rungs share one kernel call per round.  A rung stops once every |delta_k|
+is within ``_CHAIN_TOL`` |w_k|: the correction, not the residual, measures
+the error left in w.
+
+Certificate.  For v in the disk, T(w) = v / (1 + s p(w)) maps the disk
+into itself and is not an automorphism, so by Schwarz-Pick it has at most
+one fixed point there, and that point is G_s(v).  A converged chain with
+every |w_k| < 1 is therefore the composition itself, not a spurious root.
+A rung is accepted only then; one whose iterate leaves the trust disk
+|w| < min(|z0| + 1e-12, 1), or that has not converged after
+``_CHAIN_ROUNDS`` rounds, falls back to ``iterate_resolvent`` (one grid
+solve per step) for that rung only.
 
 A flow's cost does not depend on t_end: both integrators take any finite
 t_end >= 0 (far out, w0 e^(-kappa t) underflows to 0) and n_eval >= 2.
@@ -83,7 +104,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import DomainError, IntegrationError, _check_count, _check_lambda, _check_points
+from .exceptions import MAX_COMPOSITIONS, DomainError, IntegrationError, _check_count, _check_lambda, _check_points
 # eval_p is not called here: perfbench's traced run wraps it in this
 # namespace, and tests/test_bindings.py pins every name that run looks up.
 from .herglotz import GeneratorSpec, _atom_arrays, _p_and_dp, eval_p  # noqa: F401
@@ -115,6 +136,10 @@ _POLISH_STEPS = 4
 # relative error there exceeds _TERMS_TOL (2000 sample_generator draws and 100 atoms: below 1e-14).
 _PROBE = 0.9 * np.exp(2j * np.pi * np.arange(64) / 64)
 _TERMS_TOL = 1e-10
+# Newton rounds a product-formula chain may take before its rung falls back to iterate_resolvent, and the
+# size of the last correction, relative to |w_k|, at which a chain has converged.
+_CHAIN_ROUNDS = 12
+_CHAIN_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -330,17 +355,27 @@ def _newton(spec, lam, kappa, w0, phi0, target, guess):
         return w, p, _settled(kappa, lam, w, p, dp, phi, phi0, G, target)[0]
 
 
-def _flow(spec, lam, z0, t_end, n_eval):
-    """Flow of f o G_lam from z0, solved in w and returned in u; lam = 0 is the plain flow.
-
-    Both integrators check their inputs here; t_end = 0 returns z0.
-    """
-    z0, t_end = complex(_check_points(z0)), float(t_end)
+def _check_t_end(t_end) -> float:
+    """t_end as a float; DomainError unless it is finite and >= 0."""
+    t_end = float(t_end)
     if not 0.0 <= t_end < math.inf:
         raise DomainError(f"t_end must be finite and >= 0, got {t_end}")
-    n_eval = int(_check_count(n_eval, "n_eval", 2))
+    return t_end
+
+
+def _sample_times(t_end, n_eval) -> np.ndarray:
+    """The n_eval evenly spaced sample times of an integrator, from 0 to t_end."""
+    return np.linspace(0.0, _check_t_end(t_end), int(_check_count(n_eval, "n_eval", 2)))
+
+
+def _flow(spec, lam, z0, times):
+    """Flow of f o G_lam from z0, solved in w and returned in u; lam = 0 is the plain flow.
+
+    ``times`` ascend from 0; a last time of 0 returns z0 alone.
+    """
+    z0 = complex(_check_points(z0))
     start = Trajectory(times=np.array([0.0]), points=np.array([z0], dtype=complex), z0=z0)
-    if t_end == 0.0:
+    if times[-1] == 0.0:
         return start
     w0 = solve_resolvent(spec, lam, z0).w if lam else z0
     if spec.scale > 0.0:
@@ -351,10 +386,9 @@ def _flow(spec, lam, z0, t_end, n_eval):
     if not error <= _TERMS_TOL:
         raise IntegrationError(f"the Koenigs function of this generator is off by {error:.3g} relative "
                                f"(at most {_TERMS_TOL:g})", trajectory=start)
-    times = np.linspace(0.0, t_end, n_eval)
     kappa = spec.q / (1.0 + lam * spec.q)
     if kappa == 0.0:  # q = 0 only for p == 0, where nothing moves
-        return Trajectory(times=times, points=np.full(n_eval, z0), z0=z0)
+        return Trajectory(times=times, points=np.full(times.size, z0), z0=z0)
     phi0 = complex(_phi(spec, lam, np.array([w0]))[2][0])
     with np.errstate(over="ignore", invalid="ignore"):  # kappa t can overflow where e^(-Re kappa t) is 0
         decay = np.where(np.exp(-kappa.real * times) == 0.0, 0.0, np.exp(-kappa * times))
@@ -387,7 +421,7 @@ def integrate(spec: GeneratorSpec, z0: complex, t_end: float, n_eval: int = 201)
     docstring).  Starting too close to an atom direction, or a root-find
     that fails, raises IntegrationError carrying the trajectory before it.
     """
-    return _flow(spec, 0.0, z0, t_end, n_eval)
+    return _flow(spec, 0.0, z0, _sample_times(t_end, n_eval))
 
 
 def integrate_composed(
@@ -403,7 +437,7 @@ def integrate_composed(
     |u(t)| <= e^(-a_lambda t) |z0|.  It is solved in w = G_lambda(u) after
     one resolvent solve, and the pole check applies to w.
     """
-    return _flow(spec, float(_check_lambda(lam)), z0, t_end, n_eval)
+    return _flow(spec, float(_check_lambda(lam)), z0, _sample_times(t_end, n_eval))
 
 
 @dataclass(frozen=True)
@@ -421,13 +455,81 @@ def squeeze_check(trajectory: Trajectory, a: float, slack: float = 1e-8) -> Sque
     return SqueezeReport(ok=bool(worst >= -slack), worst_margin=worst)
 
 
+def _recurrence(a, b, span):
+    """x_k = a_k x_(k-1) + b_k from x_(-1) = 0, by recursive doubling; a_k = 0 starts a new run of at most ``span``.
+
+    After the round with offset d, b_k holds the recurrence from k - 2d + 1
+    on, and a_k the product of that window.  Overwrites a and b.
+    """
+    d = 1
+    while d < span:
+        b[d:] = b[d:] + a[d:] * b[:-d]
+        a[d:] = a[d:] * a[:-d]
+        d *= 2
+    return b
+
+
+def _chains(spec, z0, t, ns, start):
+    """G_{t/n}^(n)(z0) for every rung n, each solved as one chain (see the module docstring), and which converged.
+
+    ``start`` holds every rung's starting w_1 ... w_n, one rung after the
+    other.  A rung stops once its Newton correction is small; it fails
+    once an iterate leaves the trust disk |w| < min(|z0| + 1e-12, 1), or
+    a round is not finite.
+    """
+    sizes = np.asarray(ns)
+    ends = np.cumsum(sizes)
+    head = np.zeros(start.size, dtype=bool)
+    head[ends - sizes] = True
+    s = np.repeat(t / sizes, sizes)
+    cap = min(abs(z0) + 1e-12, 1.0)
+    w = start.copy()
+    running = np.ones(sizes.size, dtype=bool)
+    converged = np.zeros(sizes.size, dtype=bool)
+    for _ in range(_CHAIN_ROUNDS):
+        live = np.flatnonzero(running)
+        if live.size == 0:
+            break
+        idx = np.flatnonzero(np.repeat(running, sizes))
+        wk, sk, hk = w[idx], s[idx], head[idx]
+        p, dp = _p_and_dp(spec, wk)
+        prev = np.roll(wk, 1)
+        prev[hk] = z0
+        dF = 1.0 + sk * p + sk * dp * wk
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            a = np.where(hk, 0.0, 1.0 / dF)
+            b = (prev - wk * (1.0 + sk * p)) / dF
+        finite = np.isfinite(a) & np.isfinite(b)  # a non-finite entry would leak into the next rung
+        delta = _recurrence(np.where(finite, a, 0.0), np.where(finite, b, 0.0), sizes[live].max())
+        wk = wk + delta
+        seg = np.cumsum(sizes[live]) - sizes[live]
+        failed = np.logical_or.reduceat(~finite | ~(np.abs(wk) < cap), seg)
+        done = np.logical_and.reduceat(np.abs(delta) <= _CHAIN_TOL * np.abs(wk) + _TINY, seg) & ~failed
+        w[idx] = wk
+        converged[live[done]] = True
+        running[live[done | failed]] = False
+    return w[ends - 1], converged
+
+
 def ladder_gaps(spec: GeneratorSpec, z0: complex, t: float, ns=(8, 16, 32, 64, 128)):
     """Product-formula gaps [(n, |G_{t/n}^(n)(z0) - u(t, z0)|)] along an n-ladder; empirically O(1/n).
 
-    One flow endpoint, all rungs composed together; a one-rung ladder is
-    the product formula at one n.
+    One flow root-find gives u at every time k t / n of every rung; each
+    rung is then one Newton chain started from those values, and a rung
+    whose chain fails is composed by ``iterate_resolvent``.  A one-rung
+    ladder is the product formula at one n.
     """
-    ns = _check_count(ns, "composition count").tolist()
-    endpoint = integrate(spec, z0, t, n_eval=2).endpoint
-    iterated = iterate_resolvent(spec, t / np.array(ns), z0, ns) if t else [endpoint] * len(ns)
-    return [(n, abs(complex(u) - endpoint)) for n, u in zip(ns, iterated)]
+    ns = _check_count(ns, "composition count", maximum=MAX_COMPOSITIONS).tolist()
+    t = _check_t_end(t)
+    grids = [np.linspace(0.0, t, n + 1) for n in ns]
+    times = np.unique(np.concatenate([[0.0, t], *grids]))
+    flow = _flow(spec, 0.0, z0, times)
+    endpoint = flow.endpoint
+    if not t or not ns:
+        return [(n, 0.0) for n in ns]
+    start = flow.points[np.searchsorted(times, np.concatenate([g[1:] for g in grids]))]
+    composed, converged = _chains(spec, flow.z0, t, ns, start)
+    if not converged.all():
+        failed = np.array(ns)[~converged]
+        composed[~converged] = iterate_resolvent(spec, t / failed, flow.z0, failed)
+    return [(n, abs(complex(u) - endpoint)) for n, u in zip(ns, composed)]

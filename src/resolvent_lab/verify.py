@@ -73,7 +73,7 @@ from .bounds import (
     t_function,
     threshold_m1,
 )
-from .exceptions import ConfigError
+from .exceptions import MAX_COMPOSITIONS, ConfigError, DomainError, _check_count
 from .herglotz import (
     GeneratorSpec,
     SampleConfig,
@@ -122,8 +122,9 @@ class SuiteConfig:
     """Knobs shared by all suites; per-suite meaning noted inline.
 
     A config is checked at construction, the same way for every suite:
-    each value has the type of its default, lies in range, the ladder
-    doubles at every rung, and the sampling ranges make a ``SampleConfig``.
+    each value has the type of its default, lies in range (a ladder rung
+    at most ``MAX_COMPOSITIONS``), the ladder doubles at every rung, and
+    the sampling ranges make a ``SampleConfig``.
     A zero count is left to ``run_suite``.
     """
 
@@ -160,6 +161,10 @@ class SuiteConfig:
         for key, n in counts + [("ladder", n) for n in self.ladder]:
             if n < 0:
                 raise ConfigError(f"config key {key!r} is a count and must be >= 0, got {n}")
+        try:  # the rule of ladder_gaps on its rungs, checked before any suite runs
+            _check_count(self.ladder, "composition count", 0, MAX_COMPOSITIONS)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
         if not 0.0 < self.r_max < 1.0:
             raise ConfigError(f"r_max must lie in (0, 1), got {self.r_max}")
         if not all(0.0 < lam < math.inf for lam in self.lambda_range):

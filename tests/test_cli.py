@@ -16,6 +16,7 @@ import pytest
 import resolvent_lab
 from resolvent_lab import spec_to_dict, extremal_generator
 from resolvent_lab.cli import main, parse_complex
+from resolvent_lab.exceptions import MAX_COMPOSITIONS
 
 
 def run_cli(capsys, *argv):
@@ -278,6 +279,13 @@ class TestBoundsAndOrder:
         assert code == 0, err
         assert out.startswith("certified = none")
 
+    def test_order_names_a_distortion_bound_that_rounds_to_one(self, capsys):
+        # condition (ii) holds (a > M2 ~ Re q), but the distortion bound rounds to 1, where T has no value
+        code, out, err = run_cli(capsys, "order", "--q", "1e-310", "--a", "1e-310", "--lambda", "1")
+        assert (code, out) == (2, "")
+        assert err == ("error: the distortion bound rounds to 1 at q = (1e-310+0j), a = 1e-310, lambda = 1.0, "
+                       "so T(rho) and the certified order have no value\n")
+
     def test_bounds_tiny_q(self, capsys):
         code, out, err = run_cli(capsys, "bounds", "--q", "1e-200", "--lambda", "1e100", "--json")
         assert code == 0, err
@@ -410,6 +418,14 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_ladder_above_the_composition_cap_exits_2_at_once(self, tmp_path):
+        # 2**41 steps once ran for ever; a rung that size would be a 32 TiB chain, so it must be refused unbuilt
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ladder": [2**40, 2**41]}))
+        proc = run_process("verify", "--suite", "product_formula", "--config", str(cfg))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: composition count must be at most {MAX_COMPOSITIONS}, got {2**40}\n"
 
     def test_ladder_that_does_not_double_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

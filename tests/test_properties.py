@@ -5,7 +5,8 @@ suite configs) either builds its object or raises ConfigError or
 DomainError, never another exception.  Each closed form of ``bounds``
 gives on an array the bits of its scalar calls, and on an array with one
 bad entry the DomainError of the scalar call on that entry.  Each rule on
-lambda, points and counts gives one wording at every entry point.  Hypothesis
+lambda, points and counts, and the cap on composition counts, gives one
+wording at every entry point.  Hypothesis
 runs derandomized and without its example database, so every run of the
 suite draws the same examples.
 """
@@ -46,6 +47,7 @@ from resolvent_lab import (
 )
 from resolvent_lab.bounds import _certifying_conditions, _out, _t_refines
 from resolvent_lab.cli import parse_complex
+from resolvent_lab.exceptions import MAX_COMPOSITIONS
 
 PROPERTY = settings(max_examples=120, derandomize=True, database=None, deadline=None)
 
@@ -304,3 +306,22 @@ def test_one_point_rule_one_wording(z):
                          ids=["iterate_resolvent", "ladder_gaps", "integrate", "empirical_order"])
 def test_one_count_rule_one_wording(call, name, minimum, n):
     assert _message(call, n) == f"{name} must be an integer >= {minimum}, got {n!r}"
+
+
+# each entry point that takes a composition count; a suite config raises ConfigError, the others DomainError
+CAP_ENTRIES = [
+    lambda n: iterate_resolvent(SPEC, 0.1, 0.5, n),
+    lambda n: ladder_gaps(SPEC, 0.5, 1.0, ns=(n,)),
+    lambda n: SuiteConfig(ladder=(n,)),
+]
+
+
+@pytest.mark.parametrize("n", [MAX_COMPOSITIONS + 1, 2**40, 2**70])
+def test_one_composition_cap_one_wording(n):
+    messages = set()
+    for call in CAP_ENTRIES:
+        with pytest.raises((DomainError, ConfigError)) as info:
+            call(n)
+        messages.add(str(info.value))
+    assert messages == {f"composition count must be at most {MAX_COMPOSITIONS}, got {n!r}"}
+    assert SuiteConfig(ladder=(MAX_COMPOSITIONS // 2, MAX_COMPOSITIONS)).ladder[-1] == MAX_COMPOSITIONS

@@ -325,11 +325,108 @@ class TestProductFormula:
             ladder_gaps(single_atom, 0.5, 1.0, ns=(8, 0))
 
     def test_iterated_matches_compose(self, single_atom):
-        # a rung's gap is |G_{t/n}^(n)(z0) - u(t, z0)| against the ladder's flow endpoint
+        # a rung's gap is |G_{t/n}^(n)(z0) - u(t, z0)| against the ladder's flow endpoint; the chain
+        # and iterate_resolvent's solves stop on different tests, so they agree to 1e-12, not bit for bit
         endpoint = integrate(single_atom, 0.5, 1.0, n_eval=2).endpoint
         [(_, gap)] = ladder_gaps(single_atom, 0.5, 1.0, ns=(2,))
-        assert gap == abs(iterate_resolvent(single_atom, 0.5, 0.5, 2) - endpoint)
+        assert gap == pytest.approx(abs(iterate_resolvent(single_atom, 0.5, 0.5, 2) - endpoint), abs=1e-12)
 
+
+
+# ---------------------------------------------------------------------------
+# the product-formula chains: accuracy, certificate and fallback
+# ---------------------------------------------------------------------------
+
+
+def sequential_compositions(spec, z0s, t, ns, tol):
+    """G_{t/n}^(n)(z0) for every z0 (rows) and n (columns), one grid solve at ``tol`` per step."""
+    counts = np.broadcast_to(np.asarray(ns), (len(z0s), len(ns))).ravel()
+    w = np.repeat(np.asarray(z0s, dtype=complex), len(ns))
+    lams = t / counts
+    for k in range(max(ns)):
+        running = counts > k
+        w[running] = solve_resolvent_grid(spec, lams[running], w[running], tol=tol).w
+    return w.reshape(len(z0s), len(ns))
+
+
+def single_atom_resolvent(z, s):
+    """G_s(z) for p = (1 + w) / (1 - w): the root of (s - 1) w^2 + (1 + s + z) w - z = 0 with |w| <= |z|."""
+    b = 1.0 + s + z
+    root = np.sqrt(b * b + 4.0 * (s - 1.0) * z)
+    root = root if (np.conj(b) * root).real >= 0.0 else -root
+    return 2.0 * z / (b + root)
+
+
+CHAIN_SPECS = {"single-atom": extremal_generator(1.0, 0.0), "constant": constant_generator(1.0)} | {
+    f"sample-{seed}": sample_generator(seed) for seed in (9001, 9002, 9003, 9004)
+}
+
+
+@pytest.mark.parametrize("name", CHAIN_SPECS)
+def test_chain_matches_tight_sequential_composition(name):
+    # the default doubling ladder samples the flow at linspace(0, t, 129), as integrate does with n_eval = 129
+    spec, ns = CHAIN_SPECS[name], (8, 16, 32, 64, 128)
+    theta = spec.atoms[0][0] if spec.atoms else 0.0
+    z0s = [r * np.exp(1j * (theta + d)) for r in (0.5, 0.9, 0.999) for d in (0.0, 0.7, np.pi)]
+    for t in (1.0, 3.0):
+        reference = sequential_compositions(spec, z0s, t, ns, tol=1e-14)
+        for z0, row in zip(z0s, reference):
+            endpoint = integrate(spec, z0, t, n_eval=129).endpoint
+            for (n, gap), w in zip(ladder_gaps(spec, z0, t, ns), row):
+                assert abs(gap - abs(w - endpoint)) <= 1e-12, (n, z0, t)
+
+
+@pytest.mark.parametrize("name", ["single-atom", "constant"])
+def test_failed_chains_fall_back_to_iterate_resolvent(name, monkeypatch):
+    spec, z0, t, ns = CHAIN_SPECS[name], -0.35 + 0.35j, 1.0, (8, 16, 32)
+    monkeypatch.setattr(semigroup, "_CHAIN_ROUNDS", 0)  # no rung converges
+    endpoint = integrate(spec, z0, t, n_eval=33).endpoint  # the ladder's own flow times
+    composed = iterate_resolvent(spec, t / np.array(ns), z0, ns)
+    assert ladder_gaps(spec, z0, t, ns) == [(n, abs(complex(w) - endpoint)) for n, w in zip(ns, composed)]
+
+
+def test_only_the_failed_rung_falls_back(single_atom, monkeypatch):
+    z0, t, ns = 0.6 * np.exp(0.4j), 1.0, (8, 16, 32)
+    chained = ladder_gaps(single_atom, z0, t, ns)
+    chains, fallback = semigroup._chains, []
+
+    def fail_16(*args):
+        w, converged = chains(*args)
+        return w, converged & (np.array(ns) != 16)
+
+    def recording(spec, lam, z, n):
+        fallback.append(list(n))
+        return iterate_resolvent(spec, lam, z, n)
+
+    monkeypatch.setattr(semigroup, "_chains", fail_16)
+    monkeypatch.setattr(semigroup, "iterate_resolvent", recording)
+    gaps = ladder_gaps(single_atom, z0, t, ns)
+    assert fallback == [[16]]
+    assert (gaps[0], gaps[2]) == (chained[0], chained[2])
+    endpoint = integrate(single_atom, z0, t, n_eval=33).endpoint
+    assert gaps[1] == (16, abs(iterate_resolvent(single_atom, t / np.array([16]), z0, [16])[0] - endpoint))
+
+
+def test_chain_leaving_the_trust_disk_is_refused(single_atom):
+    # from w_k = -0.9 the first Newton round jumps out of |w| < |z0| + 1e-12; from 0.45 the chain converges
+    w, converged = semigroup._chains(single_atom, 0.5 + 0j, 1.0, [8], np.full(8, -0.9 + 0j))
+    assert not converged[0]
+    w, converged = semigroup._chains(single_atom, 0.5 + 0j, 1.0, [8], np.full(8, 0.45 + 0j))
+    assert converged[0]
+    assert w[0] == pytest.approx(sequential_compositions(single_atom, [0.5], 1.0, [8], 1e-14)[0, 0], abs=1e-14)
+
+
+@pytest.mark.parametrize("z0", [0.5, -0.9 + 0.1j, 0.999j])
+def test_large_step_ladders_match_closed_forms(z0):
+    # t = 1e4 over 8 steps: s = 1250, and the flow itself underflows to 0
+    t, ns = 1e4, (8,)
+    [(_, gap)] = ladder_gaps(constant_generator(1.0), z0, t, ns)
+    assert gap == pytest.approx(abs(z0 / (1.0 + t / 8) ** 8 - z0 * np.exp(-t)), rel=1e-12)
+    w = z0
+    for _ in range(8):
+        w = single_atom_resolvent(w, t / 8)
+    [(_, gap)] = ladder_gaps(extremal_generator(1.0, 0.0), z0, t, ns)
+    assert gap == pytest.approx(abs(w), rel=1e-12)
 
 # ---------------------------------------------------------------------------
 # the exact flows against scipy's RK45 at rtol 1e-13 (scipy is a test dependency)
