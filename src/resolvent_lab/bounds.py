@@ -250,16 +250,18 @@ def starlike_order_from_rho(q: complex, a: float, lam: float, rho: float) -> Ord
 def _m1(q, a):
     """M1 where Re q > 0 and a >= 0: NaN where a > 1.25 Re q, inf where it overflows a double."""
     with np.errstate(over="ignore", invalid="ignore"):
-        s = a / q.real
-        return (np.sqrt(5.0 - 4.0 * s) + 1.0 - 2.0 * s) / ((1.0 + s) * q.real)
+        t = (q.real - a) / q.real  # 1 - a / Re q, with the one rounding of the division
+        return 4.0 * t / ((np.sqrt(1.0 + 4.0 * t) + 1.0 - 2.0 * t) * q.real)
 
 
 def threshold_m1(q, a):
     """Lambda threshold M1 beyond which the order certificate applies.
 
-    (sqrt(5 Re^2 q - 4 a Re q) + Re q - 2a) / ((Re q + a) Re q), evaluated
-    as (sqrt(5 - 4s) + 1 - 2s) / ((1 + s) Re q) with s = a / Re q so that no
-    product underflows; requires Re q > 0 and a <= 1.25 Re q, and a
+    (sqrt(5 Re^2 q - 4 a Re q) + Re q - 2a) / ((Re q + a) Re q).  With
+    t = (Re q - a) / Re q, so that no product underflows, it is evaluated
+    in the conjugate form 4t / ((sqrt(1 + 4t) + 1 - 2t) Re q), whose
+    denominator stays above 1.2 Re q: the direct form cancels as a nears
+    Re q, where M1 crosses 0.  Requires Re q > 0 and a <= 1.25 Re q, and a
     DomainError when it overflows a double (Re q below about 3e-308).
     """
     q = _finite_q(q)
@@ -275,15 +277,21 @@ def threshold_m2(q, lam):
     """Floor threshold M2 on the accretivity constant a, for small lambda.
 
     With s = lambda Re q:
-    ((s+1) sqrt(2 s^2 + 4 s + 1) + s^2 + s - 1) / (lambda (2 + s)^2);
-    requires Re q > 0, and a DomainError when it overflows a double.
+    ((s+1) sqrt(2 s^2 + 4 s + 1) + s^2 + s - 1) / (lambda (2 + s)^2),
+    evaluated in the conjugate form
+    Re q (2 + s) / ((1 + s) sqrt(2 s^2 + 4 s + 1) + 1 - s - s^2), as the
+    direct numerator cancels for small s (to 0 once s is below about
+    1e-16, where M2 is about Re q).  Requires Re q > 0, and a DomainError
+    when it overflows a double.
     """
     q = _finite_q(q)
     _check(q.real > 0.0, "threshold requires Re q > 0, got {}", q.real)
     lam = _check_lambda(lam)
     with np.errstate(over="ignore", invalid="ignore"):
         s = lam * q.real
-        m2 = ((s + 1.0) * np.sqrt(2.0 * s * s + 4.0 * s + 1.0) + s * s + s - 1.0) / (lam * ((2.0 + s) * (2.0 + s)))
+        # (2 + s) / den <= 1, so multiplying by Re q last cannot overflow where M2 does not
+        den = (1.0 + s) * np.sqrt(2.0 * s * s + 4.0 * s + 1.0) + 1.0 - s - s * s
+        m2 = q.real * ((2.0 + s) / den)
     _check(np.isfinite(m2), "M2 overflows a double at q = {}, lambda = {}", q, lam)
     return _out(m2)
 
@@ -324,7 +332,8 @@ def calc_order(q: complex, a: float, lam: float):
     Condition (i): lambda |q|^2 >= 2 Re q and lambda > M1(q, a).
     Condition (ii): lambda |q|^2 < 2 Re q and a > M2(q, lambda).
     Returns None when neither condition holds -- a first-class outcome
-    distinguishing "not certified" from an error.  A condition that holds
+    distinguishing "not certified" from an error.  Where alpha = lambda (Re q - a)
+    is 0, T vanishes and the order is 1.  Otherwise a condition that holds
     where the distortion bound rounds to 1 is a DomainError naming q.
     """
     q, a, lam = _validate_qal(q, a, lam)
@@ -335,12 +344,15 @@ def calc_order(q: complex, a: float, lam: float):
         raise RuntimeError(
             "internal inconsistency: certified condition failed the radius comparison"
         )
+    condition = "i" if cond_i else "ii"
+    alpha, beta = _alpha_beta(q, a, lam)
+    if alpha == 0.0:  # T = 0 at every radius: the order is 1 whatever rho rounds to
+        return OrderCertificate(order=1.0, condition=condition)
     rho = distortion_bound(q, a, lam)
     # T(rho) needs rho < 1; the bound can round to 1 where lambda Re q and lambda a are tiny
     _check(rho < 1.0, "the distortion bound rounds to 1 at q = {}, a = {}, lambda = {}, so T(rho) and the "
            "certified order have no value", q, a, lam)
-    order = _order(t_function(*_alpha_beta(q, a, lam), rho))
-    return OrderCertificate(order=order, condition="i" if cond_i else "ii")
+    return OrderCertificate(order=_order(t_function(alpha, beta, rho)), condition=condition)
 
 
 def region_boundary(s):

@@ -91,21 +91,19 @@ def _write(path, header: str, rows=()) -> None:
 def cmd_resolve(args) -> int:
     spec = _generator_from_args(args)
     z = parse_complex(args.z)
-    sol = solve_resolvent(spec, args.lam, z, tol=args.tol)
+    sol = solve_resolvent(spec, args.lam, z)
     if args.json:
         print(json.dumps({
             "w": [sol.w.real, sol.w.imag],
             "g": [sol.g.real, sol.g.imag],
             "residual": sol.residual,
             "iterations": sol.iterations,
-            "converged": sol.converged,
         }, indent=2))
     else:
         print(f"w = {_fmt_complex(sol.w)}")
         print(f"g = {_fmt_complex(sol.g)}")
         print(f"residual = {sol.residual:.3e}")
         print(f"iterations = {sol.iterations}")
-        print(f"converged = {str(sol.converged).lower()}")
     return 0
 
 
@@ -234,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generator_source(p)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--z", required=True, help='evaluation point, "re+imi" form')
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_resolve)
 

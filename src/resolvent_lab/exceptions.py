@@ -1,10 +1,12 @@
 """Shared exception types, and the input rules that every layer applies.
 
 The CLI maps these onto its exit-code contract: DomainError and
-ConfigError exit 2, NonConvergenceError exits 3.  The rules on lambda, points
-and counts live here, so a bad input gets one DomainError wherever it enters.
+ConfigError exit 2, NonConvergenceError exits 3.  The rules on lambda, points,
+counts and flow end times live here, so a bad input gets one DomainError
+wherever it enters.
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -69,6 +71,13 @@ def _check_points(z) -> np.ndarray:
     absz = np.abs(z)
     _check(absz < 1.0, "points must lie in the open unit disk, got |z| = {}", absz)
     return z
+
+
+def _check_t_end(t_end) -> float:
+    """t_end as a float; DomainError unless it is finite and >= 0."""
+    t_end = float(t_end)
+    _check(0.0 <= t_end < math.inf, "t_end must be finite and >= 0, got {}", t_end)
+    return t_end
 
 
 # The most resolvent steps one composition may take.  ``ladder_gaps`` solves a rung of n steps as one

@@ -26,8 +26,10 @@ points.
 z and carried as one complex number per point, so a scalar lambda and an
 array of equal lambdas give the same bits.  The result carries Q from the
 final p(w), p'(w); ``iterate_resolvent`` composes through it and
-``solve_resolvent`` is a one-point grid solve.  The iterate after k rounds
-is the w of a run with ``max_iter=k, strict=False``.
+``solve_resolvent`` is a one-point grid solve.  The stopping rule is the
+module's own: |F| <= DEFAULT_TOL within MAX_ITER rounds, and a point that
+misses it raises NonConvergenceError.  The iterate after k rounds is the w
+of ``_solve_core`` run with ``max_iter=k``.
 
 Points converge at very different rates (a few rounds in the interior,
 tens near an atom at small lambda), so the solver works on a shrinking
@@ -45,20 +47,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    MAX_COMPOSITIONS,
-    ConfigError,
-    DomainError,
-    NonConvergenceError,
-    _check_count,
-    _check_lambda,
-    _check_points,
-)
+from .exceptions import MAX_COMPOSITIONS, DomainError, NonConvergenceError, _check_count, _check_lambda, _check_points
 from .herglotz import GeneratorSpec, _p_and_dp
 
 DEFAULT_TOL = 1e-12
 MAX_ITER = 10_000
-_MIN_TOL = 1e-14
 
 # Reject a Newton step when |F'| falls below this; cannot occur for
 # Re p >= 0 away from pathologies (F' = H' of a univalent H), but guarded.
@@ -88,7 +81,6 @@ class ResolventSolution:
     g: complex
     residual: float
     iterations: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -102,7 +94,6 @@ class GridSolution:
     g: np.ndarray
     residual: np.ndarray
     iterations: np.ndarray
-    converged: np.ndarray
     Q: np.ndarray
 
 
@@ -201,14 +192,7 @@ def _solve_core(spec, lam, z, tol, max_iter):
     return out
 
 
-def solve_resolvent_grid(
-    spec: GeneratorSpec,
-    lam,
-    z,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_ITER,
-    strict: bool = True,
-) -> GridSolution:
+def solve_resolvent_grid(spec: GeneratorSpec, lam, z) -> GridSolution:
     """Solve the resolvent equation on an array of points at once.
 
     ``lam`` is one positive number or an array that broadcasts against
@@ -216,14 +200,10 @@ def solve_resolvent_grid(
     Each point starts cold (see the module docstring) and stops iterating
     once converged, so a point's solution does not depend on the others.
     The result carries the starlikeness functional ``Q`` at every point.
-    With ``strict`` (default) any unconverged point raises
-    NonConvergenceError; otherwise inspect ``converged``.
+    A point still above DEFAULT_TOL after MAX_ITER rounds raises
+    NonConvergenceError, naming the worst one.
     """
     lam = _check_lambda(lam)
-    if not np.isfinite(tol) or tol < _MIN_TOL:
-        raise ConfigError(f"tolerance must be >= {_MIN_TOL:g}, got {tol}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
-        raise ConfigError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     arr = _check_points(z)
     try:
         arr, lam = np.broadcast_arrays(arr, lam)
@@ -231,17 +211,17 @@ def solve_resolvent_grid(
         msg = f"lambda of shape {lam.shape} does not broadcast against z of shape {arr.shape}"
         raise DomainError(msg) from exc
     flat, lam = arr.ravel(), lam.astype(complex, order="C").ravel()
-    w, pw, dpw, aF, iters = _solve_core(spec, lam, flat, tol, max_iter)
-    conv = aF <= tol
-    if strict and not conv.all():
+    w, pw, dpw, aF, iters = _solve_core(spec, lam, flat, DEFAULT_TOL, MAX_ITER)
+    unconverged = np.count_nonzero(aF > DEFAULT_TOL)
+    if unconverged:
         worst = int(np.argmax(aF))
         z_worst, lam_worst = complex(flat[worst]), float(lam[worst].real)
         raise NonConvergenceError(
-            f"{int((~conv).sum())} of {flat.size} points unconverged after {max_iter} iterations; "
+            f"{unconverged} of {flat.size} points unconverged after {MAX_ITER} iterations; "
             f"worst residual {aF[worst]:.3g} at z = {z_worst}, lambda = {lam_worst}",
             w=complex(w[worst]),
             residual=float(aF[worst]),
-            iterations=max_iter,
+            iterations=MAX_ITER,
             z=z_worst,
             lam=lam_worst,
         )
@@ -253,30 +233,22 @@ def solve_resolvent_grid(
         g=(1.0 / den).reshape(shape),
         residual=aF.reshape(shape),
         iterations=iters.reshape(shape),
-        converged=conv.reshape(shape),
         Q=Q.reshape(shape),
     )
 
 
-def solve_resolvent(
-    spec: GeneratorSpec,
-    lam: float,
-    z: complex,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_ITER,
-) -> ResolventSolution:
+def solve_resolvent(spec: GeneratorSpec, lam: float, z: complex) -> ResolventSolution:
     """Solve w + lambda p(w) w = z for a single point: a one-point ``solve_resolvent_grid``.
 
-    Returns a ResolventSolution with the grid's bits.  Raises
-    NonConvergenceError after ``max_iter``.
+    Returns a ResolventSolution with the grid's bits, and raises its
+    NonConvergenceError.
     """
-    sol = solve_resolvent_grid(spec, float(lam), [complex(z)], tol=tol, max_iter=max_iter)
+    sol = solve_resolvent_grid(spec, float(lam), [complex(z)])
     return ResolventSolution(
         w=complex(sol.w[0]),
         g=complex(sol.g[0]),
         residual=float(sol.residual[0]),
         iterations=int(sol.iterations[0]),
-        converged=True,
     )
 
 

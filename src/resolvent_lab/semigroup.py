@@ -98,13 +98,12 @@ t_end >= 0 (far out, w0 e^(-kappa t) underflows to 0) and n_eval >= 2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import MAX_COMPOSITIONS, DomainError, IntegrationError, _check_count, _check_lambda, _check_points
+from .exceptions import MAX_COMPOSITIONS, IntegrationError, _check_count, _check_lambda, _check_points, _check_t_end
 # eval_p is not called here: perfbench's traced run wraps it in this
 # namespace, and tests/test_bindings.py pins every name that run looks up.
 from .herglotz import GeneratorSpec, _atom_arrays, _p_and_dp, eval_p  # noqa: F401
@@ -140,6 +139,8 @@ _TERMS_TOL = 1e-10
 # size of the last correction, relative to |w_k|, at which a chain has converged.
 _CHAIN_ROUNDS = 12
 _CHAIN_TOL = 1e-13
+# How far |u(t)| may rise above the squeezing envelope before squeeze_check fails.
+_SQUEEZE_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -355,14 +356,6 @@ def _newton(spec, lam, kappa, w0, phi0, target, guess):
         return w, p, _settled(kappa, lam, w, p, dp, phi, phi0, G, target)[0]
 
 
-def _check_t_end(t_end) -> float:
-    """t_end as a float; DomainError unless it is finite and >= 0."""
-    t_end = float(t_end)
-    if not 0.0 <= t_end < math.inf:
-        raise DomainError(f"t_end must be finite and >= 0, got {t_end}")
-    return t_end
-
-
 def _sample_times(t_end, n_eval) -> np.ndarray:
     """The n_eval evenly spaced sample times of an integrator, from 0 to t_end."""
     return np.linspace(0.0, _check_t_end(t_end), int(_check_count(n_eval, "n_eval", 2)))
@@ -448,11 +441,11 @@ class SqueezeReport:
     worst_margin: float
 
 
-def squeeze_check(trajectory: Trajectory, a: float, slack: float = 1e-8) -> SqueezeReport:
-    """Check |u(t)| <= e^(-a t) |z0| + slack along the whole trajectory."""
+def squeeze_check(trajectory: Trajectory, a: float) -> SqueezeReport:
+    """Check |u(t)| <= e^(-a t) |z0| + _SQUEEZE_SLACK along the whole trajectory."""
     margins = trajectory.envelope(a) - np.abs(trajectory.points)
     worst = float(np.min(margins))
-    return SqueezeReport(ok=bool(worst >= -slack), worst_margin=worst)
+    return SqueezeReport(ok=bool(worst >= -_SQUEEZE_SLACK), worst_margin=worst)
 
 
 def _recurrence(a, b, span):

@@ -73,7 +73,7 @@ from .bounds import (
     t_function,
     threshold_m1,
 )
-from .exceptions import MAX_COMPOSITIONS, ConfigError, DomainError, _check_count
+from .exceptions import MAX_COMPOSITIONS, ConfigError, DomainError, _check_count, _check_t_end
 from .herglotz import (
     GeneratorSpec,
     SampleConfig,
@@ -161,16 +161,15 @@ class SuiteConfig:
         for key, n in counts + [("ladder", n) for n in self.ladder]:
             if n < 0:
                 raise ConfigError(f"config key {key!r} is a count and must be >= 0, got {n}")
-        try:  # the rule of ladder_gaps on its rungs, checked before any suite runs
+        try:  # the rules of ladder_gaps on its rungs and of the flows on t_end, checked before any suite runs
             _check_count(self.ladder, "composition count", 0, MAX_COMPOSITIONS)
+            _check_t_end(self.t_end)
         except DomainError as exc:
             raise ConfigError(str(exc)) from None
         if not 0.0 < self.r_max < 1.0:
             raise ConfigError(f"r_max must lie in (0, 1), got {self.r_max}")
         if not all(0.0 < lam < math.inf for lam in self.lambda_range):
             raise ConfigError(f"lambda_range entries must be positive and finite, got {list(self.lambda_range)}")
-        if not 0.0 <= self.t_end < math.inf:
-            raise ConfigError(f"t_end must be finite and >= 0, got {self.t_end}")
         # product_formula compares gap(2n) with gap(n)
         if any(n2 != 2 * n1 for n1, n2 in zip(self.ladder, self.ladder[1:])):
             raise ConfigError(f"each ladder rung must double the one before, got {list(self.ladder)}")

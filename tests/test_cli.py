@@ -75,7 +75,8 @@ class TestResolve:
         assert code == 0
         assert "w = 0.2+0i" in out
         assert "g = 0.4+0i" in out
-        assert "converged = true" in out
+        # an unconverged solve exits 3, so there is no "converged" line to print
+        assert out.endswith("iterations = 4\n")
 
     def test_constant_via_spec_file(self, capsys, tmp_path):
         path = tmp_path / "const.json"
@@ -88,6 +89,13 @@ class TestResolve:
         assert code == 0
         data = json.loads(out)
         assert data["w"] == pytest.approx([0.25, 0.0])
+
+    def test_tol_flag_exits_2(self):
+        # the solver owns its stopping rule, so --tol is gone and argparse rejects it
+        proc = run_process("resolve", "--q", "1", "--lambda", "1", "--z", "0.5", "--tol", "1e-12")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "unrecognized arguments: --tol 1e-12" in proc.stderr
 
     def test_bad_z_exits_2(self, capsys):
         for z in ("1.5", "nan"):
@@ -149,16 +157,13 @@ class TestResolve:
         assert code == 2
 
     def test_nonconvergence_exits_3(self, capsys, monkeypatch):
-        from resolvent_lab import NonConvergenceError
-        import resolvent_lab.cli as cli_mod
+        from resolvent_lab import resolvent
 
-        def boom(*args, **kwargs):
-            raise NonConvergenceError("forced", residual=1.0)
-
-        monkeypatch.setattr(cli_mod, "solve_resolvent", boom)
-        code, _, err = run_cli(capsys, "resolve", "--q", "1", "--lambda", "1", "--z", "0.5")
-        assert code == 3
-        assert "forced" in err
+        # z = -0.95 takes more than one round, so a budget of one leaves it unconverged
+        monkeypatch.setattr(resolvent, "MAX_ITER", 1)
+        code, out, err = run_cli(capsys, "resolve", "--q", "1", "--lambda", "1", "--z=-0.95")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: 1 of 1 points unconverged after 1 iterations")
 
 
 class TestFig1:
@@ -280,11 +285,25 @@ class TestBoundsAndOrder:
         assert out.startswith("certified = none")
 
     def test_order_names_a_distortion_bound_that_rounds_to_one(self, capsys):
-        # condition (ii) holds (a > M2 ~ Re q), but the distortion bound rounds to 1, where T has no value
-        code, out, err = run_cli(capsys, "order", "--q", "1e-310", "--a", "1e-310", "--lambda", "1")
+        # condition (ii) holds (M2 = 0.9999999999999998 < a < Re q, so alpha > 0), but the distortion
+        # bound rounds to 1, where T has no value
+        code, out, err = run_cli(capsys, "order", "--q", "1", "--a", "0.9999999999999999", "--lambda", "1.2e-16")
         assert (code, out) == (2, "")
-        assert err == ("error: the distortion bound rounds to 1 at q = (1e-310+0j), a = 1e-310, lambda = 1.0, "
-                       "so T(rho) and the certified order have no value\n")
+        assert err == ("error: the distortion bound rounds to 1 at q = (1+0j), a = 0.9999999999999999, "
+                       "lambda = 1.2e-16, so T(rho) and the certified order have no value\n")
+
+    def test_order_is_one_where_alpha_is_zero(self, capsys):
+        # a = Re q: T vanishes at every radius, so the order is 1 though the distortion bound rounds to 1
+        code, out, err = run_cli(capsys, "order", "--q", "1", "--a", "1", "--lambda", "1.2e-16")
+        assert code == 0, err
+        assert out.startswith("certified order = 1 (condition ii)\nrho = 1\n")
+
+    def test_order_at_tiny_lambda_re_q_is_not_certified(self):
+        # M2 ~ Re q = 1e-9 > a; its direct form cancelled to below a, and the order failed its own
+        # radius comparison with a RuntimeError traceback and exit 1
+        proc = run_process("order", "--q", "1e-9", "--a", "1e-12", "--lambda", "1e-9")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("certified = none")
 
     def test_bounds_tiny_q(self, capsys):
         code, out, err = run_cli(capsys, "bounds", "--q", "1e-200", "--lambda", "1e100", "--json")

@@ -4,14 +4,15 @@ Whatever JSON-like value arrives, each boundary (spec JSON, complex text,
 suite configs) either builds its object or raises ConfigError or
 DomainError, never another exception.  Each closed form of ``bounds``
 gives on an array the bits of its scalar calls, and on an array with one
-bad entry the DomainError of the scalar call on that entry.  Each rule on
-lambda, points and counts, and the cap on composition counts, gives one
-wording at every entry point.  Hypothesis
-runs derandomized and without its example database, so every run of the
-suite draws the same examples.
+bad entry the DomainError of the scalar call on that entry; M1 and M2 match
+a decimal reference.  Each rule on lambda, points, counts and t_end, and
+the cap on composition counts, gives one wording at every entry point.
+Hypothesis runs derandomized and without its example database, so every
+run of the suite draws the same examples.
 """
 
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -193,7 +194,7 @@ def entry_columns(entries, grid=False) -> dict:
 
 
 # Entries at which a power written with ``**`` in place of a product gives the array call other bits than the
-# scalar call, in B, in the margin's square, in T's (1 - r)^2, and in (2 + s)^2 of M2 and t* (found by a search).
+# scalar call, in B, in the margin's square, in T's (1 - r)^2, and in (2 + s)^2 of t* (found by a search).
 POWER_SENSITIVE = [
     (9.664293369800705, -0.30095697281386496, 0.13244582444802588, 1.5356373492058684, 0.7334272712203481),
     (1.175728452461893, 1.2506570499104037, 0.8089007985028196, 0.16814219420422014, 0.6330673434684018),
@@ -261,6 +262,59 @@ def test_m1_overflow_raises_the_scalar_error(k):
     assert not _certifying_conditions(q, a, np.full(3, 1e300))[0][k]
 
 
+# M1 and M2 against their direct forms evaluated in decimal with 60 significant digits in the result: the
+# working precision adds the digits that the direct form cancels, near a = Re q for M1 and at small
+# s = lambda Re q for M2.  In double precision the direct forms lost every digit there.
+REFERENCE_DIGITS = 60
+
+
+def m1_reference(rq: float, a: float) -> decimal.Decimal:
+    """(sqrt(5 Re^2 q - 4 a Re q) + Re q - 2a) / ((Re q + a) Re q), exact inputs, 60 significant digits."""
+    lost = max(0, math.ceil(math.log10(rq / abs(rq - a)))) if rq != a else 0
+    with decimal.localcontext() as ctx:
+        ctx.prec = REFERENCE_DIGITS + lost + 5
+        r, a = decimal.Decimal(rq), decimal.Decimal(a)
+        return ((5 * r * r - 4 * a * r).sqrt() + r - 2 * a) / ((r + a) * r)
+
+
+def m2_reference(rq: float, lam: float) -> decimal.Decimal:
+    """((s+1) sqrt(2 s^2 + 4 s + 1) + s^2 + s - 1) / (lambda (2 + s)^2), s = lambda Re q, 60 significant digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2000  # the exact product lambda Re q, to size the cancellation
+        lam, s = decimal.Decimal(lam), decimal.Decimal(lam) * decimal.Decimal(rq)
+        ctx.prec = REFERENCE_DIGITS + max(0, -s.adjusted()) + 5
+        return ((s + 1) * (2 * s * s + 4 * s + 1).sqrt() + s * s + s - 1) / (lam * (2 + s) * (2 + s))
+
+
+def assert_close_to(got: float, reference: decimal.Decimal) -> None:
+    assert abs(decimal.Decimal(got) - reference) <= decimal.Decimal("2e-15") * abs(reference), (got, reference)
+
+
+@PROPERTY
+@given(log_rq=st.floats(-300.0, 300.0), share=st.floats(0.0, 1.2))
+@example(log_rq=0.0, share=0.9999999999999999)  # the direct form was off by half
+@example(log_rq=5.0, share=0.9999999999999)
+@example(log_rq=0.0, share=1.0)  # M1 = 0
+def test_m1_matches_a_decimal_reference(log_rq, share):
+    # a <= 1.2 Re q: towards a = 1.25 Re q the square root makes M1 ill-conditioned in a
+    rq = 10.0**log_rq
+    a = rq * share
+    m1 = threshold_m1(rq, a)
+    if a == rq:
+        assert m1 == 0.0
+    else:
+        assert_close_to(m1, m1_reference(rq, a))
+
+
+@PROPERTY
+@given(log_rq=st.floats(-150.0, 150.0), log_s=st.floats(-150.0, 150.0))
+@example(log_rq=-20.0, log_s=-20.0)  # lambda = 1, s = 1e-20: the direct form gave M2 = 0
+@example(log_rq=-9.0, log_s=-18.0)
+def test_m2_matches_a_decimal_reference(log_rq, log_s):
+    rq, lam = 10.0**log_rq, 10.0 ** (log_s - log_rq)
+    assert_close_to(threshold_m2(rq, lam), m2_reference(rq, lam))
+
+
 # One rule, one wording: each entry point that takes lambda, a point or a count applies the one rule of
 # ``exceptions``, so the same bad input gives the same DomainError message wherever it enters.
 SPEC = extremal_generator(1.0, 0.0)
@@ -306,6 +360,25 @@ def test_one_point_rule_one_wording(z):
                          ids=["iterate_resolvent", "ladder_gaps", "integrate", "empirical_order"])
 def test_one_count_rule_one_wording(call, name, minimum, n):
     assert _message(call, n) == f"{name} must be an integer >= {minimum}, got {n!r}"
+
+
+# each entry point that takes a flow's end time; a suite config raises ConfigError, the others DomainError
+T_END_ENTRIES = [
+    lambda t: integrate(SPEC, 0.5, t),
+    lambda t: integrate_composed(SPEC, 1.0, 0.5, t),
+    lambda t: ladder_gaps(SPEC, 0.5, t),
+    lambda t: SuiteConfig(t_end=t),
+]
+
+
+@pytest.mark.parametrize("t", [-1.0, -1, -INF, INF, NAN])
+def test_one_t_end_rule_one_wording(t):
+    messages = set()
+    for call in T_END_ENTRIES:
+        with pytest.raises((DomainError, ConfigError)) as info:
+            call(t)
+        messages.add(str(info.value))
+    assert messages == {f"t_end must be finite and >= 0, got {float(t)}"}
 
 
 # each entry point that takes a composition count; a suite config raises ConfigError, the others DomainError

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from resolvent_lab import (
-    ConfigError,
     DomainError,
     GeneratorSpec,
     constant_generator,
@@ -15,6 +14,8 @@ from resolvent_lab import (
     solve_resolvent,
     solve_resolvent_grid,
 )
+from resolvent_lab import resolvent
+from resolvent_lab.resolvent import DEFAULT_TOL, _solve_core
 from conftest import disk_points
 
 
@@ -87,7 +88,7 @@ class TestSolutionContract:
             for lam, z in ((1.0, -0.999), (2.19, -0.999), (0.01, 0.99), (40.0, 0.7j)):
                 # the iterate after k rounds is the w of a run capped at k rounds
                 for k in range(solve_resolvent(spec, lam, z).iterations + 1):
-                    w = solve_resolvent_grid(spec, lam, [z], max_iter=k, strict=False).w[0]
+                    w = _solve_core(spec, np.array([lam + 0j]), np.array([z + 0j]), DEFAULT_TOL, k)[0][0]
                     assert abs(w) <= abs(z) + 1e-12
 
     def test_z_zero(self, single_atom):
@@ -130,14 +131,6 @@ class TestSolutionContract:
             solve_resolvent(single_atom, 0.0, 0.5)
         with pytest.raises(DomainError):
             solve_resolvent(single_atom, -1.0, 0.5)
-        with pytest.raises(ConfigError):
-            solve_resolvent(single_atom, 1.0, 0.5, tol=1e-16)
-        for max_iter in (2.5, -1, True, "10", None):
-            with pytest.raises(ConfigError):
-                solve_resolvent_grid(single_atom, 1.0, [0.5], max_iter=max_iter)
-            with pytest.raises(ConfigError):
-                solve_resolvent(single_atom, 1.0, 0.5, max_iter=max_iter)
-        assert solve_resolvent_grid(single_atom, 1.0, [0.5], max_iter=np.int64(50)).converged.all()
         with pytest.raises(DomainError):
             solve_resolvent_grid(single_atom, np.ones(3), np.full(4, 0.5))
 
@@ -149,14 +142,16 @@ class TestSolutionContract:
                 assert one.w == grid.w[0] and one.g == grid.g[0]
                 assert one.residual == grid.residual[0] and one.iterations == grid.iterations[0]
 
-    def test_iteration_budget_exhaustion(self, single_atom):
+    def test_iteration_budget_exhaustion(self, single_atom, monkeypatch):
         from resolvent_lab import NonConvergenceError
 
+        # z = -0.95 takes more than one round, so a budget of one always raises
+        assert solve_resolvent(single_atom, 1.0, -0.95).iterations > 1
+        monkeypatch.setattr(resolvent, "MAX_ITER", 1)
         with pytest.raises(NonConvergenceError) as info:
-            solve_resolvent(single_atom, 1.0, -0.95, max_iter=1)
-        assert info.value.residual > 0
-        sol = solve_resolvent_grid(single_atom, 1.0, np.array([-0.95 + 0j]), max_iter=1, strict=False)
-        assert not sol.converged[0]
+            solve_resolvent(single_atom, 1.0, -0.95)
+        assert info.value.residual > DEFAULT_TOL
+        assert info.value.iterations == 1
 
     def test_lambda_array_matches_one_call_per_lambda(self, single_atom, random_specs):
         # z = 0.999 on an atom direction at lambda = 0.02 converges last, after
@@ -184,18 +179,21 @@ class TestSolutionContract:
         sol = solve_resolvent_grid(single_atom, lams[:, None], np.append(zs, 0.999)[None, :])
         assert np.count_nonzero(sol.iterations == sol.iterations.max()) == 1
 
-    def test_nonconvergence_names_the_worst_point(self, single_atom):
+    def test_nonconvergence_names_the_worst_point(self, single_atom, monkeypatch):
         from resolvent_lab import NonConvergenceError
 
         zs = np.array([0.3, -0.95, 0.6j])
         lams = np.array([0.02, 1.0, 40.0])
+        monkeypatch.setattr(resolvent, "MAX_ITER", 1)
         with pytest.raises(NonConvergenceError) as info:
-            solve_resolvent_grid(single_atom, lams[:, None], zs[None, :], max_iter=1)
-        loose = solve_resolvent_grid(single_atom, lams[:, None], zs[None, :], max_iter=1, strict=False)
-        i, j = np.unravel_index(np.argmax(loose.residual), loose.residual.shape)
+            solve_resolvent_grid(single_atom, lams[:, None], zs[None, :])
+        # the one-round iterates and residuals, in the grid's (lambda, z) order
+        lam_grid, z_grid = np.broadcast_arrays(lams[:, None] + 0j, zs[None, :] + 0j)
+        w, _, _, residual, _ = _solve_core(single_atom, lam_grid.ravel(), z_grid.ravel(), DEFAULT_TOL, 1)
+        i, j = np.unravel_index(np.argmax(residual), lam_grid.shape)
         err = info.value
         assert (err.lam, err.z) == (lams[i], zs[j])
-        assert err.w == loose.w[i, j] and err.residual == loose.residual[i, j]
+        assert err.w == w[np.argmax(residual)] and err.residual == residual.max()
         assert str(err).endswith(f"at z = {complex(zs[j])}, lambda = {lams[i]}")
 
     def test_lambda_array_per_point(self, single_atom):

@@ -23,6 +23,7 @@ from resolvent_lab import (
 )
 from resolvent_lab import semigroup
 from resolvent_lab.herglotz import _p_and_dp
+from resolvent_lab.resolvent import MAX_ITER, _solve_core
 
 
 class TestIntegrate:
@@ -267,14 +268,15 @@ class TestFlowResolventConsistency:
         traj = integrate_composed(quarter_floor_atom, lam, 0.6, 1.0)
         floor = composed_accretivity(quarter_floor_atom.q, quarter_floor_atom.a, lam)
         assert floor > 0
-        assert squeeze_check(traj, floor, slack=1e-6).ok
+        report = squeeze_check(traj, floor)
+        assert report.ok and report.worst_margin == 0.0
 
     def test_composed_flow_respects_a_lambda_random(self, random_specs):
         for k, spec in enumerate(random_specs[:8]):
             for lam in (0.5, 2.0, 8.0):
                 traj = integrate_composed(spec, lam, 0.6 * np.exp(1j * k), 1.0)
                 floor = composed_accretivity(spec.q, spec.a, lam)
-                assert squeeze_check(traj, floor, slack=1e-8).ok
+                assert squeeze_check(traj, floor).ok
 
 
 class TestProductFormula:
@@ -339,13 +341,14 @@ class TestProductFormula:
 
 
 def sequential_compositions(spec, z0s, t, ns, tol):
-    """G_{t/n}^(n)(z0) for every z0 (rows) and n (columns), one grid solve at ``tol`` per step."""
+    """G_{t/n}^(n)(z0) for every z0 (rows) and n (columns), one solve to |F| <= ``tol`` per step."""
     counts = np.broadcast_to(np.asarray(ns), (len(z0s), len(ns))).ravel()
     w = np.repeat(np.asarray(z0s, dtype=complex), len(ns))
-    lams = t / counts
+    lams = (t / counts).astype(complex)
     for k in range(max(ns)):
         running = counts > k
-        w[running] = solve_resolvent_grid(spec, lams[running], w[running], tol=tol).w
+        w[running], _, _, residual, _ = _solve_core(spec, lams[running], w[running], tol, MAX_ITER)
+        assert residual.max(initial=0.0) <= tol
     return w.reshape(len(z0s), len(ns))
 
 
