@@ -38,12 +38,10 @@ from .herglotz import (
     SampleConfig,
     constant_generator,
     eval_p,
-    eval_p_prime,
     extremal_generator,
     harnack_bounds,
     load_spec,
     sample_generator,
-    save_spec,
     spec_from_dict,
     spec_to_dict,
     value_disk,
@@ -63,11 +61,7 @@ from .semigroup import (
     ladder_gaps,
     squeeze_check,
 )
-from .starlike import (
-    OrderScan,
-    empirical_order,
-    starlike_functional_grid,
-)
+from .starlike import starlike_functional_grid
 from .verify import (
     SUITE_NAMES,
     SuiteConfig,

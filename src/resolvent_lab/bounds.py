@@ -235,14 +235,17 @@ def starlike_order_from_rho(q: complex, a: float, lam: float, rho: float) -> Ord
     """Orders of starlikeness when |G_lambda| <= rho on the disk, for one (q, a, lambda).
 
     For rho <= rho*: order 1/(1 + T(rho)) and strong order
-    (2/pi) arcsin T(rho).  Beyond rho*, and at rho = 1 (the distortion
-    bound when a = 0 and |1 - lam q| <= 1, or when it rounds to 1), only
-    the universal baseline (order 1/2, strong order 1) is certified.
+    (2/pi) arcsin T(rho).  Where alpha = lam (Re q - a) is 0, T vanishes
+    at every radius, rho = 1 included, so the orders are 1 and 0.  Beyond
+    rho*, and at rho = 1 (the distortion bound when a = 0 and
+    |1 - lam q| <= 1, or when it rounds to 1) where alpha > 0, only the
+    universal baseline (order 1/2, strong order 1) is certified.
     """
     q, a, lam = _validate_qal(q, a, lam)
     _check((0.0 <= rho) & (rho <= 1.0), "rho must satisfy 0 <= rho <= 1, got {}", rho)
-    if _t_refines(q, a, lam, rho):
-        t = min(t_function(*_alpha_beta(q, a, lam), rho), 1.0)
+    alpha, beta = _alpha_beta(q, a, lam)
+    if alpha == 0.0 or _t_refines(q, a, lam, rho):
+        t = 0.0 if alpha == 0.0 else min(t_function(alpha, beta, rho), 1.0)
         return OrderEstimate(order=_order(t), strong_order=2.0 * math.asin(t) / math.pi, refined=True)
     return OrderEstimate(order=0.5, strong_order=1.0, refined=False)
 
@@ -281,19 +284,21 @@ def threshold_m2(q, lam):
     evaluated in the conjugate form
     Re q (2 + s) / ((1 + s) sqrt(2 s^2 + 4 s + 1) + 1 - s - s^2), as the
     direct numerator cancels for small s (to 0 once s is below about
-    1e-16, where M2 is about Re q).  Requires Re q > 0, and a DomainError
-    when it overflows a double.
+    1e-16, where M2 is about Re q).  Where 2 s^2 overflows (s above about
+    9.5e153), both are divided through by s^2.  Requires Re q > 0; M2 is
+    at most about Re q, so it never overflows.
     """
     q = _finite_q(q)
     _check(q.real > 0.0, "threshold requires Re q > 0, got {}", q.real)
     lam = _check_lambda(lam)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         s = lam * q.real
-        # (2 + s) / den <= 1, so multiplying by Re q last cannot overflow where M2 does not
-        den = (1.0 + s) * np.sqrt(2.0 * s * s + 4.0 * s + 1.0) + 1.0 - s - s * s
-        m2 = q.real * ((2.0 + s) / den)
-    _check(np.isfinite(m2), "M2 overflows a double at q = {}, lambda = {}", q, lam)
-    return _out(m2)
+        rad = 2.0 * s * s + 4.0 * s + 1.0
+        small = (2.0 + s) / ((1.0 + s) * np.sqrt(rad) + 1.0 - s - s * s)
+        u = 1.0 / s
+        large = u * (1.0 + 2.0 * u) / ((1.0 + u) * np.sqrt(2.0 + 4.0 * u + u * u) + u * u - u - 1.0)
+        # the ratio is at most 1, so multiplying by Re q last cannot overflow
+        return _out(q.real * np.where(np.isinf(rad), large, small))
 
 
 def starlike_main_margin(q, a, lam):

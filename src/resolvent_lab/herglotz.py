@@ -169,23 +169,15 @@ def _kernel(spec, weights, conj_zetas, const, z, near_rim):
     dp = 2.0 * spec.scale * (inv * inv) @ (weights * conj_zetas)
     return p, dp
 
-def _evaluate(spec: GeneratorSpec, z, k: int):
-    """Entry k of (p, p') at a scalar or an ndarray of points with |z| < 1."""
-    scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
-    v = _p_and_dp(spec, _check_points(z))[k]
-    return complex(v[()]) if scalar else v
-
 def eval_p(spec: GeneratorSpec, z):
     """Evaluate p(z) for a scalar or ndarray of points with |z| < 1.
 
     Guarantees Re p(z) >= a up to roundoff.  Evaluation within 1e-14 of a
     kernel pole (z approaching an atom direction) raises DomainError.
     """
-    return _evaluate(spec, z, 0)
-
-def eval_p_prime(spec: GeneratorSpec, z):
-    """Evaluate p'(z) = 2*scale * sum_k m_k conj(zeta_k) / (1 - z conj(zeta_k))^2."""
-    return _evaluate(spec, z, 1)
+    scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
+    p = _p_and_dp(spec, _check_points(z))[0]
+    return complex(p[()]) if scalar else p
 
 def value_disk(spec: GeneratorSpec, r: float) -> Disk:
     """Closed disk containing p(z) for every |z| = r.
@@ -316,8 +308,3 @@ def _read_json(path):
 
 def load_spec(path) -> GeneratorSpec:
     return spec_from_dict(_read_json(path))
-
-def save_spec(spec: GeneratorSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=2)
-        fh.write("\n")

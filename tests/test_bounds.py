@@ -358,10 +358,13 @@ class TestThresholds:
             threshold_m2(0.0, 1.0)
 
     def test_m2_overflow_is_domain_error(self):
-        # (2 + s)^2 and s^2 overflow at s = lambda Re q = 1e300
-        for q, lam in ((1e300, 1.0), ([1.0, 1e300], [1.0, 1.0]), (1.0, 1e300)):
-            with pytest.raises(DomainError, match="M2 overflows a double"):
-                threshold_m2(q, lam)
+        # s^2 overflows at s = lambda Re q = 1e300, but M2 ~ (1 + sqrt 2)/lambda does not: it once raised
+        # "M2 overflows a double" there, and returned 0 where only 2 s^2 overflowed (s = 1e154)
+        m2_large = 1.0 + math.sqrt(2.0)
+        assert threshold_m2(1e300, 1.0) == pytest.approx(m2_large, rel=1e-15)
+        assert threshold_m2(1.0, 1e300) == pytest.approx(m2_large * 1e-300, rel=1e-15)
+        assert threshold_m2(1.0, 1e154) == pytest.approx(m2_large * 1e-154, rel=1e-15)
+        assert threshold_m2([1.0, 1e300], [1.0, 1.0]).tolist() == [threshold_m2(1.0, 1.0), threshold_m2(1e300, 1.0)]
 
 
 NAN, INF = float("nan"), float("inf")

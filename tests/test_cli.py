@@ -298,6 +298,19 @@ class TestBoundsAndOrder:
         assert code == 0, err
         assert out.startswith("certified order = 1 (condition ii)\nrho = 1\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--q", "1", "--a", "1", "--lambda", "5", "--rho", "1"), ("--q", "1", "--a", "1", "--lambda", "1.2e-16")],
+        ids=["rho-one", "distortion-rounds-to-one"],
+    )
+    def test_order_agrees_with_the_certificate_where_alpha_is_zero(self, capsys, argv):
+        # T vanishes at every radius, rho = 1 included: the order printed below the certificate was 1/2
+        code, out, err = run_cli(capsys, "order", *argv, "--json")
+        assert code == 0, err
+        data = json.loads(out)
+        assert (data["rho"], data["certified"]["order"]) == (1.0, 1.0)
+        assert (data["order"], data["strong_order"], data["refined"]) == (1.0, 0.0, True)
+
     def test_order_at_tiny_lambda_re_q_is_not_certified(self):
         # M2 ~ Re q = 1e-9 > a; its direct form cancelled to below a, and the order failed its own
         # radius comparison with a RuntimeError traceback and exit 1

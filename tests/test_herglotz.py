@@ -12,12 +12,10 @@ from resolvent_lab import (
     GeneratorSpec,
     SampleConfig,
     eval_p,
-    eval_p_prime,
     extremal_generator,
     harnack_bounds,
     load_spec,
     sample_generator,
-    save_spec,
     spec_from_dict,
     spec_to_dict,
     value_disk,
@@ -101,19 +99,24 @@ class TestKernelBlocks:
             _p_and_dp(self.SPEC, z[2500:2600])
 
 
+def p_prime(spec, z) -> complex:
+    """p'(z) at one point, from the kernel pass that also gives p."""
+    return complex(_p_and_dp(spec, np.asarray(z, dtype=complex))[1])
+
+
 class TestEvalPPrime:
     def test_single_atom_at_zero(self, single_atom):
         # d/dz (1+z)/(1-z) = 2/(1-z)^2 -> 2 at z = 0
-        assert eval_p_prime(single_atom, 0.0) == pytest.approx(2.0, abs=1e-14)
+        assert p_prime(single_atom, 0.0) == pytest.approx(2.0, abs=1e-14)
 
     def test_constant_is_zero(self, constant_one):
         for z in (0.0, 0.5, 0.3 - 0.6j):
-            assert eval_p_prime(constant_one, z) == 0.0
+            assert p_prime(constant_one, z) == 0.0
 
     def test_derivative_at_zero_formula(self):
         spec = GeneratorSpec(atoms=((0.7, 1.0), (4.0, 3.0)), a=0.1, scale=0.8, gamma=0.2)
         expected = 2 * spec.scale * sum(w * np.exp(-1j * t) for t, w in spec.atoms)
-        assert eval_p_prime(spec, 0.0) == pytest.approx(expected, abs=1e-14)
+        assert p_prime(spec, 0.0) == pytest.approx(expected, abs=1e-14)
 
     def test_matches_finite_differences(self, random_specs):
         h = 1e-6
@@ -121,7 +124,7 @@ class TestEvalPPrime:
         for spec in random_specs[:10]:
             for z in disk_points(rng, 20, r_max=0.9):
                 fd = (eval_p(spec, z + h) - eval_p(spec, z - h)) / (2 * h)
-                exact = eval_p_prime(spec, z)
+                exact = p_prime(spec, z)
                 assert abs(exact - fd) <= 1e-6 * max(1.0, abs(exact))
 
 
@@ -261,7 +264,8 @@ class TestJsonInterchange:
     def test_round_trip(self, tmp_path, random_specs):
         path = tmp_path / "spec.json"
         for spec in random_specs[:5]:
-            save_spec(spec, path)
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(spec_to_dict(spec), fh)
             assert load_spec(path) == spec
 
     def test_renormalizes_on_load(self):

@@ -8,13 +8,13 @@ from resolvent_lab import (
     GeneratorSpec,
     constant_generator,
     eval_p,
-    eval_p_prime,
     extremal_generator,
     iterate_resolvent,
     solve_resolvent,
     solve_resolvent_grid,
 )
 from resolvent_lab import resolvent
+from resolvent_lab.herglotz import _p_and_dp
 from resolvent_lab.resolvent import DEFAULT_TOL, _solve_core
 from conftest import disk_points
 
@@ -214,7 +214,7 @@ class TestSolutionContract:
         for spec in [single_atom] + random_specs[:4]:
             lam = 1.3
             sol = solve_resolvent_grid(spec, lam, zs)
-            p, dp = eval_p(spec, sol.w), eval_p_prime(spec, sol.w)
+            p, dp = _p_and_dp(spec, sol.w)
             g_prime = 1.0 / (1.0 + lam * p + lam * dp * sol.w)
             expected = np.where(zs == 0, 1.0, sol.w / np.where(zs == 0, 1.0, zs * g_prime))
             assert sol.Q[0] == 1.0

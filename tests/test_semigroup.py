@@ -449,7 +449,7 @@ def rk45_flows(spec, lam, z0s, t_end, n_eval):
     w0 = solve_resolvent_grid(spec, lam, z0s).w if lam else z0s
 
     def rhs(t, w):
-        p, dp = _p_and_dp(spec, w)  # eval_p and eval_p_prime in one kernel pass, without their |w| < 1 check
+        p, dp = _p_and_dp(spec, w)  # p and p' in one kernel pass, without eval_p's |w| < 1 check
         return -p * w / (1.0 + lam * (p + dp * w))
 
     sol = solve_ivp(rhs, (0.0, t_end), w0, method="RK45", rtol=1e-13, atol=1e-16,

@@ -24,7 +24,6 @@ EXPECTED = {
     "NonConvergenceError": "(message, w=None, residual=None, iterations=None, z=None, lam=None)",
     "OrderCertificate": "(order, condition)",
     "OrderEstimate": "(order, strong_order, refined)",
-    "OrderScan": "(order_lb, strong_order_lb, max_deviation, n_samples, r_max)",
     "ResolventLabError": None,
     "ResolventSolution": "(w, g, residual, iterations)",
     "SampleConfig": "(max_atoms=6, a_range=(0.0, 1.0), scale_range=(0.0, 2.0), gamma_range=(-1.0, 1.0))",
@@ -44,10 +43,8 @@ EXPECTED = {
     "distortion_at_critical_lambda": "(q, a)",
     "distortion_bound": "(q, a, lam)",
     "distortion_coefficients": "(q, a, lam)",
-    "empirical_order": "(spec, lam, n_samples=512, r_max=0.99)",
     "est1_bound": "(q, lam)",
     "eval_p": "(spec, z)",
-    "eval_p_prime": "(spec, z)",
     "extremal_generator": "(q=1.0, a=0.0, theta=0.0)",
     "harnack_bounds": "(spec, r)",
     "integrate": "(spec, z0, t_end, n_eval=201)",
@@ -60,7 +57,6 @@ EXPECTED = {
     "rho_star": "(q, a, lam)",
     "run_suite": "(name, config=None, seed=None)",
     "sample_generator": "(seed, config=None)",
-    "save_spec": "(spec, path)",
     "solve_resolvent": "(spec, lam, z)",
     "solve_resolvent_grid": "(spec, lam, z)",
     "spec_from_dict": "(data)",

@@ -1,4 +1,6 @@
-"""Starlikeness functional: closed forms, dual-route agreement, order scans."""
+"""Starlikeness functional: closed forms, dual-route agreement, the deviation bound T."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,14 +8,12 @@ import pytest
 from resolvent_lab import (
     DomainError,
     distortion_bound,
-    empirical_order,
     sample_generator,
     solve_resolvent_grid,
     starlike_functional_grid,
     starlike_order_from_rho,
     t_function,
 )
-from resolvent_lab.starlike import _scan_points
 from conftest import disk_points
 
 
@@ -41,10 +41,27 @@ def starlike_functional_fd(spec, lam, z: complex, step: float = 1e-6) -> complex
     return complex(w[0] / (zc * h_prime))
 
 
+def scan_points(n_samples, r_max) -> np.ndarray:
+    """Deterministic scan grid: a dense boundary ring, a sunflower fill and the axis points +-r_max, +-i r_max.
+
+    |Q - 1| is extremal on |z| = r_max (maximum principle), so most points go
+    on the ring; the sharp cases sit on atom directions, hence the axis
+    points.  The grid has max(n_samples, 12) points.
+    """
+    n_ring = max(8, min((3 * n_samples) // 4, n_samples - 4))
+    n_in = max(0, n_samples - n_ring - 4)
+    ring = r_max * np.exp(1j * (2.0 * np.pi * (np.arange(n_ring) + 0.371) / n_ring))
+    golden = (1.0 + math.sqrt(5.0)) / 2.0
+    k = np.arange(1, n_in + 1)
+    inner = r_max * np.sqrt(k / (n_in + 1.0)) * np.exp(2j * np.pi * golden * k)
+    axis = np.array([r_max, -r_max, 1j * r_max, -1j * r_max])
+    return np.concatenate([ring, inner, axis])
+
+
 def deviation_and_t(spec, lam, n_samples=512, r_max=0.99):
     """Sampled max |Q - 1| and T(rho) at rho = the distortion bound; T is None where it does not refine order 1/2."""
     q, a = spec.q, spec.a
-    max_dev = float(np.max(np.abs(solve_resolvent_grid(spec, lam, _scan_points(n_samples, r_max)).Q - 1.0)))
+    max_dev = float(np.max(np.abs(solve_resolvent_grid(spec, lam, scan_points(n_samples, r_max)).Q - 1.0)))
     rho = distortion_bound(q, a, lam)
     if not starlike_order_from_rho(q, a, lam, rho).refined:
         return max_dev, None
@@ -106,42 +123,6 @@ class TestUniversalHalfOrder:
             zs = disk_points(rng, 30, r_max=0.99)
             Q = starlike_functional_grid(spec, 1.7, zs)
             assert np.all(Q.real > 0)
-
-
-class TestEmpiricalOrder:
-    def test_single_atom_reference(self, single_atom):
-        # Q = 1 + z/2 on |z| <= r: max deviation r/2, order 1/(1 + r/2)
-        scan = empirical_order(single_atom, 1.0, n_samples=256, r_max=0.99)
-        assert scan.max_deviation == pytest.approx(0.495, abs=1e-9)
-        assert scan.order_lb == pytest.approx(1 / 1.495, abs=1e-9)
-
-    def test_constant_is_linear(self, constant_one):
-        scan = empirical_order(constant_one, 3.0, n_samples=128, r_max=0.9)
-        assert scan.order_lb == 1.0
-        assert scan.strong_order_lb == 0.0
-        assert scan.max_deviation == 0.0
-
-    def test_bounds_respected(self, random_specs):
-        for spec in random_specs[:6]:
-            scan = empirical_order(spec, 1.1, n_samples=128, r_max=0.99)
-            assert 0.5 - 1e-9 <= scan.order_lb <= 1.0
-            assert 0.0 <= scan.strong_order_lb <= 1.0
-            assert scan.max_deviation <= 1.0 + 1e-9
-
-    def test_r_max_guard(self, single_atom):
-        with pytest.raises(DomainError):
-            empirical_order(single_atom, 1.0, r_max=0.9999)
-
-    def test_n_samples_guard(self, single_atom):
-        # 0 and -5 once scanned 12 points without complaint
-        for n_samples in (0, -5, float("nan"), 12.0, True):
-            with pytest.raises(DomainError, match="n_samples"):
-                empirical_order(single_atom, 1.0, n_samples=n_samples)
-
-    def test_scan_has_at_least_twelve_points(self, single_atom):
-        # at least 8 ring points and the 4 axis points
-        for n_samples, size in ((1, 12), (11, 12), (12, 12), (13, 13), (100, 100)):
-            assert empirical_order(single_atom, 1.0, n_samples=n_samples).n_samples == size
 
 
 class TestTheoremComparison:
