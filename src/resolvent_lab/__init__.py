@@ -67,7 +67,6 @@ from .verify import (
     SuiteConfig,
     VerificationReport,
     Violation,
-    default_seed,
     run_suite,
 )
 

@@ -33,7 +33,7 @@ from .exceptions import ConfigError, NonConvergenceError, ResolventLabError, _ch
 from .herglotz import _read_json, extremal_generator, load_spec
 from .resolvent import solve_resolvent
 from .semigroup import integrate, squeeze_check
-from .verify import SUITE_NAMES, SuiteConfig, run_suite
+from .verify import DEFAULT_SEED, SUITE_NAMES, SuiteConfig, run_suite
 
 
 def parse_complex(text: str) -> complex:
@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, help=f"one of: {', '.join(SUITE_NAMES)}")
     p.add_argument("--config", help="path to a suite config JSON file")
-    p.add_argument("--seed", type=int, default=None, help="RESOLVENT_LAB_SEED overrides the default")
+    p.add_argument("--seed", type=int, default=None, help=f"suite seed (default {DEFAULT_SEED})")
     p.add_argument("--negative-control", action="store_true",
                    help="falsify the bound; expect violations (exit 1)")
     p.add_argument("--out", default="-", help="report JSON destination")

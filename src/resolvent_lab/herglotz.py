@@ -245,16 +245,16 @@ def sample_generator(seed, config: SampleConfig | None = None) -> GeneratorSpec:
         gamma=float(rng.uniform(*cfg.gamma_range)),
     )
 
-def extremal_generator(q: complex = 1.0, a: float = 0.0, theta: float = 0.0) -> GeneratorSpec:
-    """Single-atom generator with p(0) = q and floor a.
+def extremal_generator(q: complex = 1.0, a: float = 0.0) -> GeneratorSpec:
+    """Single-atom generator with p(0) = q and floor a, its atom at theta = 0.
 
-    For q = 1, a = 0, theta = 0 this is p(z) = (1 + z)/(1 - z), the
+    For q = 1, a = 0 this is p(z) = (1 + z)/(1 - z), the
     configuration at which the distortion bound is attained.
     """
     q = complex(q)
     if q.real < a:
         raise DomainError(f"need Re q >= a, got Re q = {q.real}, a = {a}")
-    return GeneratorSpec(atoms=((theta, 1.0),), a=a, scale=q.real - a, gamma=q.imag)
+    return GeneratorSpec(atoms=((0.0, 1.0),), a=a, scale=q.real - a, gamma=q.imag)
 
 def constant_generator(q: complex) -> GeneratorSpec:
     """Constant multiplier p == q (the linear map f(z) = q z); requires Re q >= 0."""

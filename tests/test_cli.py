@@ -16,7 +16,6 @@ import pytest
 import resolvent_lab
 from resolvent_lab import spec_to_dict, extremal_generator
 from resolvent_lab.cli import main, parse_complex
-from resolvent_lab.exceptions import MAX_COMPOSITIONS
 
 
 def run_cli(capsys, *argv):
@@ -403,38 +402,41 @@ class TestVerifyCommand:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "override",
-        [{"n_lambdas": 0}, {"n_generators": "3"}, {"ladder": "abc"}, {"solver_tol": 1e300}, {"r_max": -0.5}],
-        ids=["checks-nothing", "string-count", "string-ladder", "huge-solver-tol", "negative-r-max"],
+        "override,message",
+        [({"n_lambdas": 0}, "suite distortion checked no samples"),
+         ({"n_generators": "3"}, "config key 'n_generators' must look like 40, got '3'"),
+         ({"ladder": "abc"}, "unknown config keys: ['ladder']"),
+         ({"solver_tol": 1e300}, "unknown config keys: ['solver_tol']"),
+         ({"r_max": -0.5}, "unknown config keys: ['r_max']"),
+         # the sampling constants are no config keys, whatever their value
+         ({"r_max": 0.9}, "unknown config keys: ['r_max']"),
+         ({"ladder": [8, 16]}, "unknown config keys: ['ladder']"),
+         ({"t_end": 2.0}, "unknown config keys: ['t_end']"),
+         ({"a_range": [0.0, 1.0]}, "unknown config keys: ['a_range']")],
+        ids=["checks-nothing", "string-count", "string-ladder", "huge-solver-tol", "negative-r-max",
+             "r-max", "ladder", "t-end", "a-range"],
     )
-    def test_bad_config_exit_2(self, capsys, tmp_path, override):
+    def test_bad_config_exit_2(self, capsys, tmp_path, override, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**self.CONFIG, **override}))
         code, out, err = run_cli(capsys, "verify", "--suite", "distortion", "--config", str(cfg))
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("suite,code,last", [("squeeze", 0, "suite squeeze: 0 violation(s)"),
-                                                 ("product_formula", 2, "error: suite product_formula checked no")])
-    def test_flow_suites_take_huge_t_end(self, tmp_path, suite, code, last):
-        # every sample underflows to 0: squeeze passes, and the product formula has no gap above its floor left
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**self.CONFIG, "t_end": 1e300}))
-        proc = run_process("verify", "--suite", suite, "--config", str(cfg))
-        assert proc.returncode == code
-        assert proc.stderr.startswith(last) and proc.stderr.count("\n") == 1
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "suite,override",
         [("thresholds", {"max_atoms": 0}), ("distortion", {"ladder": [8, 9, 10]}),
          ("thresholds", {"scale_range": [2.0, 1.0]}), ("thresholds", {"t_end": -1.0}),
-         ("distortion", {"t_end": -1.0})],
+         ("distortion", {"t_end": -1.0}), ("thresholds", {"n_generators": -1}),
+         ("thresholds", {"n_angles": 2.5}), ("distortion", {"n_draws": "many"}),
+         ("distortion", {"n_trajectories": True})],
         ids=["zero-max-atoms", "ladder-in-distortion", "empty-scale-range", "negative-t-end-in-thresholds",
-             "negative-t-end-in-distortion"],
+             "negative-t-end-in-distortion", "negative-count-in-thresholds", "float-count-in-thresholds",
+             "string-count-in-distortion", "bool-count-in-distortion"],
     )
     def test_config_is_checked_for_every_suite(self, capsys, tmp_path, suite, override):
-        # a suite that never reads the key still rejects the config
+        # a suite that never reads the count still rejects the config; a removed key is unknown to every suite
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**self.CONFIG, **override}))
         code, out, err = run_cli(capsys, "verify", "--suite", suite, "--config", str(cfg))
@@ -450,14 +452,6 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-
-    def test_ladder_above_the_composition_cap_exits_2_at_once(self, tmp_path):
-        # 2**41 steps once ran for ever; a rung that size would be a 32 TiB chain, so it must be refused unbuilt
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"ladder": [2**40, 2**41]}))
-        proc = run_process("verify", "--suite", "product_formula", "--config", str(cfg))
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == f"error: composition count must be at most {MAX_COMPOSITIONS}, got {2**40}\n"
 
     def test_ladder_that_does_not_double_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -479,14 +473,6 @@ class TestVerifyCommand:
     def test_unknown_suite_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "bogus")
         assert code == 2
-
-    def test_env_seed_override(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("RESOLVENT_LAB_SEED", "4242")
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(self.CONFIG))
-        code, out, _ = run_cli(capsys, "verify", "--suite", "thresholds", "--config", str(cfg))
-        assert code == 0
-        assert json.loads(out)["seed"] == 4242
 
 
 STARTUP_PROBE = """

@@ -130,7 +130,7 @@ def test_config_from_dict_builds_or_rejects(data):
         cfg = SuiteConfig.from_dict(data)
     except ConfigError:
         return
-    assert cfg.sample_config() is not None
+    assert SuiteConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 @PROPERTY
@@ -140,7 +140,7 @@ def test_direct_config_builds_or_rejects(kw):
         cfg = SuiteConfig(**kw)
     except ConfigError:
         return
-    assert SuiteConfig.from_dict({k: list(v) if isinstance(v, tuple) else v for k, v in kw.items()}) == cfg
+    assert SuiteConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 def _conditions(q, a, lam):
@@ -361,39 +361,27 @@ def test_one_count_rule_one_wording(call, name, minimum, n):
     assert _message(call, n) == f"{name} must be an integer >= {minimum}, got {n!r}"
 
 
-# each entry point that takes a flow's end time; a suite config raises ConfigError, the others DomainError
+# each entry point that takes a flow's end time
 T_END_ENTRIES = [
     lambda t: integrate(SPEC, 0.5, t),
     lambda t: integrate_composed(SPEC, 1.0, 0.5, t),
     lambda t: ladder_gaps(SPEC, 0.5, t),
-    lambda t: SuiteConfig(t_end=t),
 ]
 
 
 @pytest.mark.parametrize("t", [-1.0, -1, -INF, INF, NAN])
 def test_one_t_end_rule_one_wording(t):
-    messages = set()
-    for call in T_END_ENTRIES:
-        with pytest.raises((DomainError, ConfigError)) as info:
-            call(t)
-        messages.add(str(info.value))
-    assert messages == {f"t_end must be finite and >= 0, got {float(t)}"}
+    assert {_message(call, t) for call in T_END_ENTRIES} == {f"t_end must be finite and >= 0, got {float(t)}"}
 
 
-# each entry point that takes a composition count; a suite config raises ConfigError, the others DomainError
+# each entry point that takes a composition count
 CAP_ENTRIES = [
     lambda n: iterate_resolvent(SPEC, 0.1, 0.5, n),
     lambda n: ladder_gaps(SPEC, 0.5, 1.0, ns=(n,)),
-    lambda n: SuiteConfig(ladder=(n,)),
 ]
 
 
 @pytest.mark.parametrize("n", [MAX_COMPOSITIONS + 1, 2**40, 2**70])
 def test_one_composition_cap_one_wording(n):
-    messages = set()
-    for call in CAP_ENTRIES:
-        with pytest.raises((DomainError, ConfigError)) as info:
-            call(n)
-        messages.add(str(info.value))
-    assert messages == {f"composition count must be at most {MAX_COMPOSITIONS}, got {n!r}"}
-    assert SuiteConfig(ladder=(MAX_COMPOSITIONS // 2, MAX_COMPOSITIONS)).ladder[-1] == MAX_COMPOSITIONS
+    expected = f"composition count must be at most {MAX_COMPOSITIONS}, got {n!r}"
+    assert {_message(call, n) for call in CAP_ENTRIES} == {expected}

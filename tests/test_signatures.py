@@ -29,9 +29,8 @@ EXPECTED = {
     "SampleConfig": "(max_atoms=6, a_range=(0.0, 1.0), scale_range=(0.0, 2.0), gamma_range=(-1.0, 1.0))",
     "SqueezeReport": "(ok, worst_margin)",
     "SuiteConfig": (
-        "(n_generators=40, n_lambdas=12, lambda_range=(0.02, 50.0), n_radii=5, n_angles=64, n_random=176, "
-        "r_max=0.999, max_atoms=6, a_range=(0.0, 1.0), scale_range=(0.0, 2.0), gamma_range=(-1.0, 1.0), "
-        "n_trajectories=4, t_end=1.0, ladder=(8, 16, 32, 64, 128), n_draws=10000, negative_control=False)"
+        "(n_generators=40, n_lambdas=12, n_radii=5, n_angles=64, n_random=176, n_trajectories=4, "
+        "n_draws=10000, negative_control=False)"
     ),
     "Trajectory": "(times, points, z0)",
     "VerificationReport": "(suite, generators_tested, samples_per_generator, violations, worst_margin, seed, elapsed)",
@@ -39,13 +38,12 @@ EXPECTED = {
     "calc_order": "(q, a, lam)",
     "composed_accretivity": "(q, a, lam)",
     "constant_generator": "(q)",
-    "default_seed": "()",
     "distortion_at_critical_lambda": "(q, a)",
     "distortion_bound": "(q, a, lam)",
     "distortion_coefficients": "(q, a, lam)",
     "est1_bound": "(q, lam)",
     "eval_p": "(spec, z)",
-    "extremal_generator": "(q=1.0, a=0.0, theta=0.0)",
+    "extremal_generator": "(q=1.0, a=0.0)",
     "harnack_bounds": "(spec, r)",
     "integrate": "(spec, z0, t_end, n_eval=201)",
     "integrate_composed": "(spec, lam, z0, t_end, n_eval=201)",
