@@ -2,8 +2,8 @@
 
 The CLI maps these onto its exit-code contract: DomainError and
 ConfigError exit 2, NonConvergenceError exits 3.  The rules on lambda, points,
-counts and flow end times live here, so a bad input gets one DomainError
-wherever it enters.
+counts, flow end times and broadcasting live here, so a bad input gets one
+DomainError wherever it enters.
 """
 
 import math
@@ -71,6 +71,15 @@ def _check_points(z) -> np.ndarray:
     absz = np.abs(z)
     _check(absz < 1.0, "points must lie in the open unit disk, got |z| = {}", absz)
     return z
+
+
+def _check_broadcast(*named) -> list:
+    """The arrays of (name, array) pairs, broadcast together; DomainError naming every shape unless they broadcast."""
+    try:
+        return np.broadcast_arrays(*(a for _, a in named))
+    except ValueError as exc:
+        shapes = ", ".join(f"{name} of shape {np.shape(a)}" for name, a in named)
+        raise DomainError(f"shapes do not broadcast: {shapes}") from exc
 
 
 def _check_t_end(t_end) -> float:

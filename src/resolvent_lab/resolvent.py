@@ -7,14 +7,16 @@ radius |z| (|1 + lambda p| >= 1 + lambda a >= 1), and that map is a strict
 contraction of the hyperbolic metric, so plain fixed-point iteration always
 converges -- though only geometrically, and slowly near the boundary.
 
-The solver therefore runs a guarded Newton iteration on
+The solver therefore runs a safeguarded Newton iteration on
 
     F(w) = w (1 + lambda p(w)) - z,      F'(w) = 1 + lambda p(w) + lambda p'(w) w,
 
-accepting a (possibly damped) Newton candidate only when it stays in the
-trust disk |w| <= |z| + 1e-12 and strictly reduces |F|; otherwise it falls
-back to the fixed-point map, which is always safe.  Newton supplies the
-quadratic tail that the fixed-point iteration lacks.
+taking the Newton step only when it stays in the trust disk
+|w| <= |z| + 1e-12 and strictly reduces |F|; otherwise the point takes one
+step of the fixed-point map, which is always safe.  Newton supplies the
+quadratic tail that the fixed-point iteration lacks.  No step leaves the
+trust disk, so a converged point is the root inside the disk, never the
+second zero F can have just outside it.
 
 Every solve starts cold from w = z / (1 + lambda q), the first fixed-point
 step from 0.  Seeding a solve with the solution at a neighbouring lambda
@@ -35,9 +37,9 @@ Points converge at very different rates (a few rounds in the interior,
 tens near an atom at small lambda), so the solver works on a shrinking
 working set: once at most half of it is still running, the finished
 points are written out and the arrays are cut down to the running ones.
-Within a round, the full Newton step runs on the whole working set; the
-damped halvings and the fixed-point fallback, which few points take,
-run on those points alone, gathered by index and scattered back.
+Within a round, the Newton step runs on the whole working set; the
+fixed-point fallback, which few points take, runs on those points alone,
+gathered by index and scattered back.
 Gathering every round would cost more in fancy indexing than it saves:
 a solver that did so gave the same bits but raised the benchmark's
 ``grid`` median operation from 3.80 to 4.94 ms.  A lone point's kernel
@@ -54,23 +56,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import MAX_COMPOSITIONS, DomainError, NonConvergenceError, _check_count, _check_lambda, _check_points
+from .exceptions import MAX_COMPOSITIONS, NonConvergenceError, _check_broadcast, _check_count, _check_lambda, _check_points
 from .herglotz import GeneratorSpec, _p_and_dp
 
 DEFAULT_TOL = 1e-12
 MAX_ITER = 10_000
-
-_MAX_BACKTRACK = 26
-_NEWTON_HOLD = 8
-
-# F can have a second zero just outside the disk; Newton then pins the
-# iterate against the trust-disk cap, cycling with the short fixed-point
-# fallback without ever beating its best residual.  When the best residual
-# seen has not improved for _STALL_LIMIT iterations, force the (globally
-# convergent) fixed-point map for _STALL_HOLD rounds: its escape raises the
-# residual temporarily but leaves the trap for good.
-_STALL_LIMIT = 30
-_STALL_HOLD = 150
 
 
 @dataclass(frozen=True)
@@ -110,7 +100,7 @@ def _p_and_dp_rows(spec, w, n):
 
 
 def _solve_core(spec, lam, z, tol, max_iter):
-    """Newton-with-fallback iteration on a flat complex array; returns w, p(w), p'(w), |F|, iterations.
+    """Safeguarded Newton iteration on a flat complex array; returns w, p(w), p'(w), |F|, iterations.
 
     ``lam`` is complex, one entry per point: every product with lambda is
     complex, and a float array would be cast again in every one of them.
@@ -119,11 +109,10 @@ def _solve_core(spec, lam, z, tol, max_iter):
     of the working set is active, and at least two points are, every
     per-point array is cut down to the active ones; never to a lone point,
     whose one-row kernel sum numpy rounds in another order (``_p_and_dp``).
-    The full Newton step is tried on the working set; the points it does
-    not move halve their step, and the points no step moves take the
-    fixed-point map, both on their own gathered arrays (``_p_and_dp_rows``).
-    F' = H'(w) of a univalent H does not vanish; a step that is not finite
-    all the same fails the trust-disk test.
+    The Newton step is tried on the working set; the points it does not
+    move take the fixed-point map on their own gathered arrays
+    (``_p_and_dp_rows``).  F' = H'(w) of a univalent H does not vanish; a
+    step that is not finite all the same fails the trust-disk test.
     """
     out = None  # the full-size w, p, p', |F| and iterations, from the first cut on
     idx = np.arange(z.size)
@@ -133,9 +122,6 @@ def _solve_core(spec, lam, z, tol, max_iter):
     F = w * (1.0 + lam * pw) - z
     aF = np.abs(F)
     iters = np.zeros(z.shape, dtype=np.int64)
-    hold = np.zeros(z.shape, dtype=np.int64)
-    best = aF.copy()
-    since_best = np.zeros(z.shape, dtype=np.int64)
 
     for _ in range(max_iter):
         active = aF > tol
@@ -150,48 +136,24 @@ def _solve_core(spec, lam, z, tol, max_iter):
                 for full, part in zip(out, (w, pw, dpw, aF, iters)):
                     full[idx[done]] = part[done]
             keep = np.flatnonzero(active)
-            idx, z, lam, cap, w, pw, dpw, F, aF, iters, hold, best, since_best = (
-                a[keep] for a in (idx, z, lam, cap, w, pw, dpw, F, aF, iters, hold, best, since_best)
-            )
+            idx, z, lam, cap, w, pw, dpw, F, aF, iters = (a[keep] for a in (idx, z, lam, cap, w, pw, dpw, F, aF, iters))
             active = np.ones(n_active, dtype=bool)
         iters[active] += 1
         moved = np.zeros(z.shape, dtype=bool)
 
-        try_newton = active & (hold == 0)
-        if try_newton.any():
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                step = F / (1.0 + lam * pw + lam * dpw * w)
-                cand = w - step
-                test = try_newton & (np.abs(cand) <= cap)
-                if test.any():
-                    safe = np.where(test, cand, 0.0)
-                    pc, dpc = _p_and_dp(spec, safe)
-                    Fc = safe * (1.0 + lam * pc) - z
-                    moved = test & (np.abs(Fc) < aF)
-                    w = np.where(moved, cand, w)
-                    pw = np.where(moved, pc, pw)
-                    dpw = np.where(moved, dpc, dpw)
-                    F = np.where(moved, Fc, F)
-                    aF = np.abs(F)
-                rest = np.flatnonzero(try_newton & ~moved)
-                wr, sr, ar, cr, t = w[rest], step[rest], aF[rest], cap[rest], 0.5
-                pending = np.ones(rest.size, dtype=bool)
-                for _bt in range(1, _MAX_BACKTRACK):
-                    if not pending.any():
-                        break
-                    cand = wr - t * sr
-                    test = np.flatnonzero(pending & (np.abs(cand) <= cr))
-                    if test.size:
-                        pc, dpc = _p_and_dp_rows(spec, cand[test], z.size)
-                        k = rest[test]
-                        Fc = cand[test] * (1.0 + lam[k] * pc) - z[k]
-                        good = np.abs(Fc) < ar[test]
-                        k, test = k[good], test[good]
-                        w[k], pw[k], dpw[k], F[k], aF[k] = cand[test], pc[good], dpc[good], Fc[good], np.abs(Fc[good])
-                        moved[k] = True
-                        pending[test] = False
-                    t *= 0.5
-            hold[try_newton & ~moved] = _NEWTON_HOLD
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            cand = w - F / (1.0 + lam * pw + lam * dpw * w)
+            test = active & (np.abs(cand) <= cap)
+            if test.any():
+                safe = np.where(test, cand, 0.0)
+                pc, dpc = _p_and_dp(spec, safe)
+                Fc = safe * (1.0 + lam * pc) - z
+                moved = test & (np.abs(Fc) < aF)
+                w = np.where(moved, cand, w)
+                pw = np.where(moved, pc, pw)
+                dpw = np.where(moved, dpc, dpw)
+                F = np.where(moved, Fc, F)
+                aF = np.abs(F)
 
         back = np.flatnonzero(active & ~moved)
         if back.size:
@@ -200,14 +162,6 @@ def _solve_core(spec, lam, z, tol, max_iter):
             w[back], pw[back], dpw[back] = wf, pf, dpf
             F[back] = wf * (1.0 + lam[back] * pf) - z[back]
             aF[back] = np.abs(F[back])
-        hold = np.maximum(hold - 1, 0)
-        new_best = aF < 0.9 * best
-        best = np.minimum(best, aF)
-        since_best = np.where(new_best | ~active, 0, since_best + 1)
-        tripped = since_best >= _STALL_LIMIT
-        if tripped.any():
-            hold[tripped] = _STALL_HOLD
-            since_best[tripped] = 0
 
     if out is None:
         return w, pw, dpw, aF, iters
@@ -227,13 +181,7 @@ def solve_resolvent_grid(spec: GeneratorSpec, lam, z) -> GridSolution:
     A point still above DEFAULT_TOL after MAX_ITER rounds raises
     NonConvergenceError, naming the worst one.
     """
-    lam = _check_lambda(lam)
-    arr = _check_points(z)
-    try:
-        arr, lam = np.broadcast_arrays(arr, lam)
-    except ValueError as exc:
-        msg = f"lambda of shape {lam.shape} does not broadcast against z of shape {arr.shape}"
-        raise DomainError(msg) from exc
+    lam, arr = _check_broadcast(("lambda", _check_lambda(lam)), ("z", _check_points(z)))
     flat, lam = arr.ravel(), lam.astype(complex, order="C").ravel()
     w, pw, dpw, aF, iters = _solve_core(spec, lam, flat, DEFAULT_TOL, MAX_ITER)
     unconverged = np.count_nonzero(aF > DEFAULT_TOL)
@@ -284,7 +232,8 @@ def iterate_resolvent(spec: GeneratorSpec, lam, z, n):
     n must hold integers in [1, MAX_COMPOSITIONS].  Scalar input returns a complex.
     """
     counts = _check_count(n, "composition count", maximum=MAX_COMPOSITIONS)
-    lams, z, counts = np.broadcast_arrays(lam, np.asarray(z, dtype=complex), counts)
+    named = ("lambda", lam), ("z", np.asarray(z, dtype=complex)), ("composition count", counts)
+    lams, z, counts = _check_broadcast(*named)
     w = z.copy()
     for k in range(int(counts.max(initial=0))):
         running = counts > k

@@ -385,3 +385,16 @@ CAP_ENTRIES = [
 def test_one_composition_cap_one_wording(n):
     expected = f"composition count must be at most {MAX_COMPOSITIONS}, got {n!r}"
     assert {_message(call, n) for call in CAP_ENTRIES} == {expected}
+
+
+# each entry point that broadcasts lambda against z, with what else its message names
+BROADCAST_ENTRIES = [
+    (lambda lam, z: solve_resolvent_grid(SPEC, lam, z), ""),
+    (lambda lam, z: iterate_resolvent(SPEC, lam, z, 2), ", composition count of shape ()"),
+]
+
+
+@pytest.mark.parametrize("call,rest", BROADCAST_ENTRIES, ids=["solve_resolvent_grid", "iterate_resolvent"])
+def test_one_broadcast_rule_one_wording(call, rest):
+    expected = f"shapes do not broadcast: lambda of shape (2,), z of shape (3,){rest}"
+    assert _message(lambda args: call(*args), ([1.0, 2.0], [0.1, 0.2, 0.3])) == expected

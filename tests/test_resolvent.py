@@ -307,33 +307,48 @@ class TestIteration:
                     assert abs(got[i, j] - one) <= 1e-15
 
 
-# Single points that need one solver guard each, found by switching each guard off over 1.2 M points
-# of 400 generators drawn with TRAP_CONFIG.  Each row is (seed, lambda, z, iterations) followed by the
-# bits of w.real, w.imag and the residual, first of a one-point solve and then of the point solved
-# beside z = 0: a one-row kernel sum rounds in another order than a taller one (``_p_and_dp``).
+# Hard points, found over the 1.2 M points of a hunt on 400 generators drawn with TRAP_CONFIG (seeds
+# from HUNT_SEED, see ``hunt_points``) at HUNT_LAMBDAS: near an atom at small lambda, where F has a second
+# zero just outside the disk.  Each once needed a solver guard that is gone: Newton step halving (the
+# first two) or an escape from Newton pinned against the trust disk (the last three).  Each row is
+# (seed, lambda, z, iterations) followed by the bits of w.real, w.imag and the residual, first of a
+# one-point solve and then of the point solved beside z = 0: a one-row kernel sum rounds in another
+# order than a taller one (``_p_and_dp``).
 TRAP_CONFIG = SampleConfig(max_atoms=12, a_range=(0, 1), scale_range=(0, 5), gamma_range=(-5, 5))
-DAMPING_TRAPS = [
-    (1027092122, 0.00031622776601683794, -0.9912390919507762 - 0.13207975086515175j, 7,
-     ("-0x1.fae9db570ac20p-1", "-0x1.0ea9a027bffd9p-3", "0x1.0000000000000p-54"),
-     ("-0x1.fae9db570ac20p-1", "-0x1.0ea9a027bffd9p-3", "0x1.0000000000000p-54")),
-    (773143981, 0.00017782794100389227, 0.9466802030329242 + 0.3221747835966395j, 7,
-     ("0x1.e3b266870daa5p-1", "0x1.4992625dc21edp-2", "0x1.1d24142c286acp-41"),
-     ("0x1.e3b266870daa5p-1", "0x1.4992625dc21edp-2", "0x1.1d24142c286acp-41")),
+TRAPS = [
+    (1027092122, 0.00031622776601683794, -0.9912390919507762 - 0.13207975086515175j, 12,
+     ("-0x1.fae9db570ac20p-1", "-0x1.0ea9a027bffdbp-3", "0x1.0000000000000p-55"),
+     ("-0x1.fae9db570ac20p-1", "-0x1.0ea9a027bffdbp-3", "0x1.0000000000000p-55")),
+    (773143981, 0.00017782794100389227, 0.9466802030329242 + 0.3221747835966395j, 17,
+     ("0x1.e3b266870d213p-1", "0x1.4992625dc1d51p-2", "0x1.4406521c76a60p-47"),
+     ("0x1.e3b266870d213p-1", "0x1.4992625dc1d51p-2", "0x1.4406521c76a60p-47")),
+    (524763160, 0.01, -0.9740692837433619 - 0.22620572620447538j, 7,
+     ("-0x1.b8f604fb39e90p-1", "-0x1.8dd629956335ap-3", "0x1.465655f122ff7p-51"),
+     ("-0x1.b8f604fb39e90p-1", "-0x1.8dd629956335ap-3", "0x1.465655f122ff7p-51")),
+    (747044679, 0.0017782794100389228, 0.5526360056363099 + 0.8334107302970994j, 25,
+     ("0x1.0f2300e83a296p-1", "0x1.9115bb3b900a6p-1", "0x0.0p+0"),
+     ("0x1.0f2300e83a294p-1", "0x1.9115bb3b900a4p-1", "0x1.6a09e667f3bcdp-53")),
+    (847032073, 0.001, -0.7680607204356409 - 0.6403614056326977j, 10,
+     ("-0x1.7eea28efa8ab8p-1", "-0x1.403a863efd663p-1", "0x1.0000000000000p-53"),
+     ("-0x1.7eea28efa8ab8p-1", "-0x1.403a863efd663p-1", "0x1.0000000000000p-53")),
 ]
-STALL_TRAPS = [
-    (524763160, 0.01, -0.9740692837433619 - 0.22620572620447538j, 68,
-     ("-0x1.b8f604fb3abb1p-1", "-0x1.8dd62995625c9p-3", "0x1.5c967e729a345p-42"),
-     ("-0x1.b8f604fb3abb0p-1", "-0x1.8dd62995625c8p-3", "0x1.5c76c9fa8c624p-42")),
-    (747044679, 0.0017782794100389228, 0.5526360056363099 + 0.8334107302970994j, 97,
-     ("0x1.0f2300e83768dp-1", "0x1.9115bb3b905f8p-1", "0x1.c9e9af3f2addfp-41"),
-     ("0x1.0f2300e83768dp-1", "0x1.9115bb3b905f8p-1", "0x1.c9e9af3f2addfp-41")),
-    (847032073, 0.001, -0.7680607204356409 - 0.6403614056326977j, 73,
-     ("-0x1.7eea28efa7598p-1", "-0x1.403a863efc9d3p-1", "0x1.e90f9c4853cb2p-42"),
-     ("-0x1.7eea28efa7598p-1", "-0x1.403a863efc9d3p-1", "0x1.e90f9c4853cb2p-42")),
-]
-# Without its guard a trap point stalls for good (checked up to MAX_ITER); a budget ten times the
-# slowest trap's keeps each raising case under a quarter of a second.
-GUARDLESS_MAX_ITER = 1000
+HUNT_SEED = 3
+HUNT_LAMBDAS = np.geomspace(1e-4, 1e4, 33)
+HUNT_RADII = np.array([0.9, 0.999, 0.99999, 1 - 1e-9])
+
+
+def hunt_points(spec_seed):
+    """The hunt's generator for ``spec_seed`` and its points: one at each of HUNT_RADII next to every atom,
+    and 64 random ones on |z| = 0.99999.  The hunt draws each generator's seed and then its 64 angles from
+    one ``default_rng(HUNT_SEED)`` stream."""
+    rng = np.random.default_rng(HUNT_SEED)
+    while int(rng.integers(1 << 30)) != spec_seed:
+        rng.uniform(0, 2 * np.pi, 64)
+    angles = rng.uniform(0, 2 * np.pi, 64)
+    spec = sample_generator(spec_seed, TRAP_CONFIG)
+    thetas = np.array([theta for theta, _ in spec.atoms])
+    near_atoms = HUNT_RADII[:, None] * np.exp(1j * (thetas + 1e-6))
+    return spec, np.append(near_atoms, 0.99999 * np.exp(1j * angles))
 
 
 def bits(w, residual):
@@ -341,7 +356,7 @@ def bits(w, residual):
 
 
 class TestGuards:
-    @pytest.mark.parametrize("seed, lam, z, iterations, one, pair", DAMPING_TRAPS + STALL_TRAPS)
+    @pytest.mark.parametrize("seed, lam, z, iterations, one, pair", TRAPS)
     def test_trap_bits(self, seed, lam, z, iterations, one, pair):
         spec = sample_generator(seed, TRAP_CONFIG)
         sol = solve_resolvent(spec, lam, z)
@@ -349,27 +364,18 @@ class TestGuards:
         sol = solve_resolvent_grid(spec, lam, [z, 0.0])
         assert (bits(sol.w[0], sol.residual[0]), sol.iterations[0]) == (pair, iterations)
 
-    @pytest.mark.parametrize("seed, lam, z, iterations, one, pair", DAMPING_TRAPS)
-    def test_damping_trap_needs_backtracking(self, seed, lam, z, iterations, one, pair, monkeypatch):
-        spec = sample_generator(seed, TRAP_CONFIG)
-        assert solve_resolvent(spec, lam, z).iterations == iterations
-        monkeypatch.setattr(resolvent, "MAX_ITER", GUARDLESS_MAX_ITER)
-        monkeypatch.setattr(resolvent, "_MAX_BACKTRACK", 1)
-        with pytest.raises(NonConvergenceError):
-            solve_resolvent(spec, lam, z)
+    def test_trap_generators_over_the_hunt(self):
+        # every point of a trap generator's hunt converges to the root inside the disk
+        for seed, lam, z, *_ in TRAPS:
+            spec, zs = hunt_points(seed)
+            assert z in zs and lam in HUNT_LAMBDAS
+            zs = np.broadcast_to(zs, (HUNT_LAMBDAS.size, zs.size))
+            sol = solve_resolvent_grid(spec, HUNT_LAMBDAS[:, None], zs)
+            assert np.all(np.abs(sol.w) <= np.abs(zs) + 1e-12)
 
-    @pytest.mark.parametrize("seed, lam, z, iterations, one, pair", STALL_TRAPS)
-    def test_stall_trap_needs_escape(self, seed, lam, z, iterations, one, pair, monkeypatch):
-        spec = sample_generator(seed, TRAP_CONFIG)
-        assert solve_resolvent(spec, lam, z).iterations == iterations
-        monkeypatch.setattr(resolvent, "MAX_ITER", GUARDLESS_MAX_ITER)
-        monkeypatch.setattr(resolvent, "_STALL_LIMIT", GUARDLESS_MAX_ITER + 1)
-        with pytest.raises(NonConvergenceError):
-            solve_resolvent(spec, lam, z)
-
-    def test_damped_halvings_evaluate_only_their_points(self, monkeypatch):
-        # the damping trap among 1023 interior points, which finish in a few full Newton steps
-        seed, lam, z = DAMPING_TRAPS[0][:3]
+    def test_fallback_evaluates_only_its_points(self, monkeypatch):
+        # a trap point among 1023 interior points, which finish in a few Newton steps
+        seed, lam, z, iterations = TRAPS[0][:4]
         spec = sample_generator(seed, TRAP_CONFIG)
         zs = np.append(z, disk_points(np.random.default_rng(0), 1023, 0.9))
         rows = []
@@ -380,7 +386,7 @@ class TestGuards:
 
         monkeypatch.setattr(resolvent, "_p_and_dp", recording)
         sol = solve_resolvent_grid(spec, lam, zs)
-        assert sol.iterations[0] == DAMPING_TRAPS[0][3]
-        # the start and one full step a round run on the working set; each halving is two rows
-        assert sum(n > 2 for n in rows) <= 1 + sol.iterations.max()
+        assert sol.iterations[0] == sol.iterations.max() == iterations
+        # the start and one Newton step a round run on the working set; a lone fallback is two rows
+        assert sum(n > 2 for n in rows) == 1 + iterations
         assert 2 in rows
