@@ -11,12 +11,12 @@ The solver therefore runs a safeguarded Newton iteration on
 
     F(w) = w (1 + lambda p(w)) - z,      F'(w) = 1 + lambda p(w) + lambda p'(w) w,
 
-taking the Newton step only when it stays in the trust disk
-|w| <= |z| + 1e-12 and strictly reduces |F|; otherwise the point takes one
-step of the fixed-point map, which is always safe.  Newton supplies the
-quadratic tail that the fixed-point iteration lacks.  No step leaves the
-trust disk, so a converged point is the root inside the disk, never the
-second zero F can have just outside it.
+taking the Newton step only when it is finite and stays in the trust disk
+|w| <= |z| + 1e-12; otherwise the point takes one step of the fixed-point
+map, which is always safe.  Newton supplies the quadratic tail that the
+fixed-point iteration lacks.  No step leaves the trust disk, so a
+converged point is the root inside the disk, never the second zero F can
+have just outside it.
 
 Every solve starts cold from w = z / (1 + lambda q), the first fixed-point
 step from 0.  Seeding a solve with the solution at a neighbouring lambda
@@ -37,17 +37,15 @@ Points converge at very different rates (a few rounds in the interior,
 tens near an atom at small lambda), so the solver works on a shrinking
 working set: once at most half of it is still running, the finished
 points are written out and the arrays are cut down to the running ones.
-Within a round, the Newton step runs on the whole working set; the
-fixed-point fallback, which few points take, runs on those points alone,
-gathered by index and scattered back.
-Gathering every round would cost more in fancy indexing than it saves:
-a solver that did so gave the same bits but raised the benchmark's
-``grid`` median operation from 3.80 to 4.94 ms.  A lone point's kernel
-sum numpy rounds in another order than a taller one's, so a working set
-is never cut to one point and a gathered lone point is evaluated beside
-a zero row, unless the whole call is one point; so a point's bits do not
-depend on the other points of the call, and one call over a whole lambda
-grid gives the bits of one call per lambda.
+A round makes one kernel call, on the whole working set: gathering the
+running points every round would cost more in fancy indexing than it
+saves (a solver that did so gave the same bits but raised the
+benchmark's ``grid`` median operation from 3.80 to 4.94 ms).  A lone
+point's kernel sum numpy rounds in another order than a taller one's, so
+a working set is never cut to one point, unless the whole call is one
+point; so a point's bits do not depend on the other points of the call,
+and one call over a whole lambda grid gives the bits of one call per
+lambda.
 """
 
 from __future__ import annotations
@@ -91,14 +89,6 @@ class GridSolution:
     Q: np.ndarray
 
 
-def _p_and_dp_rows(spec, w, n):
-    """``_p_and_dp`` at points gathered from a working set of n; a lone point goes as two rows unless n is 1."""
-    if w.size == 1 < n:
-        p, dp = _p_and_dp(spec, np.append(w, 0.0))
-        return p[:1], dp[:1]
-    return _p_and_dp(spec, w)
-
-
 def _solve_core(spec, lam, z, tol, max_iter):
     """Safeguarded Newton iteration on a flat complex array; returns w, p(w), p'(w), |F|, iterations.
 
@@ -109,18 +99,18 @@ def _solve_core(spec, lam, z, tol, max_iter):
     of the working set is active, and at least two points are, every
     per-point array is cut down to the active ones; never to a lone point,
     whose one-row kernel sum numpy rounds in another order (``_p_and_dp``).
-    The Newton step is tried on the working set; the points it does not
-    move take the fixed-point map on their own gathered arrays
-    (``_p_and_dp_rows``).  F' = H'(w) of a univalent H does not vanish; a
-    step that is not finite all the same fails the trust-disk test.
+    Each active point takes its Newton candidate if that is finite and in
+    the trust disk, and the fixed-point step otherwise (a division on
+    those points alone); one ``_p_and_dp`` call on the working set then
+    gives p and p' at the new points.  F' = H'(w) of a univalent H does not
+    vanish; a step that is not finite all the same fails the trust-disk test.
     """
     out = None  # the full-size w, p, p', |F| and iterations, from the first cut on
     idx = np.arange(z.size)
     cap = np.abs(z) + 1e-12
     w = z / (1.0 + lam * spec.q)
     pw, dpw = _p_and_dp(spec, w)
-    F = w * (1.0 + lam * pw) - z
-    aF = np.abs(F)
+    aF = np.abs(w * (1.0 + lam * pw) - z)
     iters = np.zeros(z.shape, dtype=np.int64)
 
     for _ in range(max_iter):
@@ -136,32 +126,19 @@ def _solve_core(spec, lam, z, tol, max_iter):
                 for full, part in zip(out, (w, pw, dpw, aF, iters)):
                     full[idx[done]] = part[done]
             keep = np.flatnonzero(active)
-            idx, z, lam, cap, w, pw, dpw, F, aF, iters = (a[keep] for a in (idx, z, lam, cap, w, pw, dpw, F, aF, iters))
+            idx, z, lam, cap, w, pw, dpw, aF, iters = (a[keep] for a in (idx, z, lam, cap, w, pw, dpw, aF, iters))
             active = np.ones(n_active, dtype=bool)
         iters[active] += 1
-        moved = np.zeros(z.shape, dtype=bool)
 
+        den = 1.0 + lam * pw
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            cand = w - F / (1.0 + lam * pw + lam * dpw * w)
-            test = active & (np.abs(cand) <= cap)
-            if test.any():
-                safe = np.where(test, cand, 0.0)
-                pc, dpc = _p_and_dp(spec, safe)
-                Fc = safe * (1.0 + lam * pc) - z
-                moved = test & (np.abs(Fc) < aF)
-                w = np.where(moved, cand, w)
-                pw = np.where(moved, pc, pw)
-                dpw = np.where(moved, dpc, dpw)
-                F = np.where(moved, Fc, F)
-                aF = np.abs(F)
-
-        back = np.flatnonzero(active & ~moved)
-        if back.size:
-            wf = z[back] / (1.0 + lam[back] * pw[back])
-            pf, dpf = _p_and_dp_rows(spec, wf, z.size)
-            w[back], pw[back], dpw[back] = wf, pf, dpf
-            F[back] = wf * (1.0 + lam[back] * pf) - z[back]
-            aF[back] = np.abs(F[back])
+            cand = w - (w * den - z) / (den + lam * dpw * w)
+        newton = np.abs(cand) <= cap
+        back = np.flatnonzero(active & ~newton)
+        w = np.where(active & newton, cand, w)
+        w[back] = z[back] / den[back]
+        pw, dpw = _p_and_dp(spec, w)
+        aF = np.where(active, np.abs(w * (1.0 + lam * pw) - z), aF)
 
     if out is None:
         return w, pw, dpw, aF, iters

@@ -28,7 +28,7 @@ from resolvent_lab import (
     threshold_m2,
     value_disk,
 )
-from resolvent_lab.bounds import _g_floor
+from resolvent_lab.bounds import _certifying_conditions, _g_floor, _validate_qal
 
 from conftest import critical_distortion_shortcut
 
@@ -419,15 +419,12 @@ class TestCalcOrder:
         assert 0.5 < cert.order < 1.0
 
     def test_certified_implies_radius_comparison(self):
+        # calc_order certifies exactly where one of its conditions holds; all draws go through the array forms
         rng = np.random.default_rng(30)
-        hits = 0
-        for _ in range(10000):
-            q, a, lam = random_parameters(rng)
-            cert = calc_order(q, a, lam)
-            if cert is not None:
-                hits += 1
-                assert starlike_main_margin(q, a, lam) >= -1e-12
-        assert hits > 100  # the sweep actually exercises both branches
+        q, a, lam = (np.array(v) for v in zip(*(random_parameters(rng) for _ in range(10000))))
+        certified = np.logical_or(*_certifying_conditions(*_validate_qal(q, a, lam)))
+        assert np.all(starlike_main_margin(q[certified], a[certified], lam[certified]) >= -1e-12)
+        assert np.count_nonzero(certified) > 100  # the sweep actually exercises both branches
 
 
 class TestRegionBoundary:

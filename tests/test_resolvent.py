@@ -310,27 +310,27 @@ class TestIteration:
 # Hard points, found over the 1.2 M points of a hunt on 400 generators drawn with TRAP_CONFIG (seeds
 # from HUNT_SEED, see ``hunt_points``) at HUNT_LAMBDAS: near an atom at small lambda, where F has a second
 # zero just outside the disk.  Each once needed a solver guard that is gone: Newton step halving (the
-# first two) or an escape from Newton pinned against the trust disk (the last three).  Each row is
-# (seed, lambda, z, iterations) followed by the bits of w.real, w.imag and the residual, first of a
-# one-point solve and then of the point solved beside z = 0: a one-row kernel sum rounds in another
-# order than a taller one (``_p_and_dp``).
+# first two) or an escape from Newton pinned against the trust disk (the last three).  The trust-disk
+# cap is the one guard left.  Each row is (seed, lambda, z, iterations) followed by the bits of w.real,
+# w.imag and the residual, first of a one-point solve and then of the point solved beside z = 0: a
+# one-row kernel sum rounds in another order than a taller one (``_p_and_dp``).
 TRAP_CONFIG = SampleConfig(max_atoms=12, a_range=(0, 1), scale_range=(0, 5), gamma_range=(-5, 5))
 TRAPS = [
-    (1027092122, 0.00031622776601683794, -0.9912390919507762 - 0.13207975086515175j, 12,
-     ("-0x1.fae9db570ac20p-1", "-0x1.0ea9a027bffdbp-3", "0x1.0000000000000p-55"),
-     ("-0x1.fae9db570ac20p-1", "-0x1.0ea9a027bffdbp-3", "0x1.0000000000000p-55")),
-    (773143981, 0.00017782794100389227, 0.9466802030329242 + 0.3221747835966395j, 17,
-     ("0x1.e3b266870d213p-1", "0x1.4992625dc1d51p-2", "0x1.4406521c76a60p-47"),
-     ("0x1.e3b266870d213p-1", "0x1.4992625dc1d51p-2", "0x1.4406521c76a60p-47")),
-    (524763160, 0.01, -0.9740692837433619 - 0.22620572620447538j, 7,
-     ("-0x1.b8f604fb39e90p-1", "-0x1.8dd629956335ap-3", "0x1.465655f122ff7p-51"),
-     ("-0x1.b8f604fb39e90p-1", "-0x1.8dd629956335ap-3", "0x1.465655f122ff7p-51")),
+    (1027092122, 0.00031622776601683794, -0.9912390919507762 - 0.13207975086515175j, 9,
+     ("-0x1.fae9db570ac21p-1", "-0x1.0ea9a027bffdap-3", "0x1.07e0f66afed07p-53"),
+     ("-0x1.fae9db570ac21p-1", "-0x1.0ea9a027bffdap-3", "0x1.07e0f66afed07p-53")),
+    (773143981, 0.00017782794100389227, 0.9466802030329242 + 0.3221747835966395j, 10,
+     ("0x1.e3b266870d4ccp-1", "0x1.4992625dc15e6p-2", "0x1.2a43b4038e69dp-42"),
+     ("0x1.e3b266870d4ccp-1", "0x1.4992625dc15e6p-2", "0x1.2a43b4038e69dp-42")),
+    (524763160, 0.01, -0.9740692837433619 - 0.22620572620447538j, 9,
+     ("-0x1.b8f604fb39c22p-1", "-0x1.8dd62995669b7p-3", "0x1.63a91a288bd30p-42"),
+     ("-0x1.b8f604fb39c22p-1", "-0x1.8dd62995669b7p-3", "0x1.63a91a288bd30p-42")),
     (747044679, 0.0017782794100389228, 0.5526360056363099 + 0.8334107302970994j, 25,
-     ("0x1.0f2300e83a296p-1", "0x1.9115bb3b900a6p-1", "0x0.0p+0"),
-     ("0x1.0f2300e83a294p-1", "0x1.9115bb3b900a4p-1", "0x1.6a09e667f3bcdp-53")),
+     ("0x1.0f2300e8386e0p-1", "0x1.9115bb3b92baep-1", "0x1.083cd93ae2f0ep-40"),
+     ("0x1.0f2300e8386e0p-1", "0x1.9115bb3b92baep-1", "0x1.083cd93ae2f0ep-40")),
     (847032073, 0.001, -0.7680607204356409 - 0.6403614056326977j, 10,
-     ("-0x1.7eea28efa8ab8p-1", "-0x1.403a863efd663p-1", "0x1.0000000000000p-53"),
-     ("-0x1.7eea28efa8ab8p-1", "-0x1.403a863efd663p-1", "0x1.0000000000000p-53")),
+     ("-0x1.7eea28efa8ab6p-1", "-0x1.403a863efd663p-1", "0x1.0000000000000p-53"),
+     ("-0x1.7eea28efa8ab6p-1", "-0x1.403a863efd663p-1", "0x1.0000000000000p-53")),
 ]
 HUNT_SEED = 3
 HUNT_LAMBDAS = np.geomspace(1e-4, 1e4, 33)
@@ -373,7 +373,7 @@ class TestGuards:
             sol = solve_resolvent_grid(spec, HUNT_LAMBDAS[:, None], zs)
             assert np.all(np.abs(sol.w) <= np.abs(zs) + 1e-12)
 
-    def test_fallback_evaluates_only_its_points(self, monkeypatch):
+    def test_one_kernel_call_a_round(self, monkeypatch):
         # a trap point among 1023 interior points, which finish in a few Newton steps
         seed, lam, z, iterations = TRAPS[0][:4]
         spec = sample_generator(seed, TRAP_CONFIG)
@@ -387,6 +387,6 @@ class TestGuards:
         monkeypatch.setattr(resolvent, "_p_and_dp", recording)
         sol = solve_resolvent_grid(spec, lam, zs)
         assert sol.iterations[0] == sol.iterations.max() == iterations
-        # the start and one Newton step a round run on the working set; a lone fallback is two rows
-        assert sum(n > 2 for n in rows) == 1 + iterations
-        assert 2 in rows
+        # the start, then one call a round on the working set, which is never cut to a lone point
+        assert len(rows) == 1 + iterations
+        assert min(rows) >= 2

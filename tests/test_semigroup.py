@@ -24,6 +24,7 @@ from resolvent_lab import (
 from resolvent_lab import semigroup
 from resolvent_lab.herglotz import _p_and_dp
 from resolvent_lab.resolvent import MAX_ITER, _solve_core
+from test_resolvent import TRAP_CONFIG
 
 
 class TestIntegrate:
@@ -410,6 +411,25 @@ def test_only_the_failed_rung_falls_back(single_atom, monkeypatch):
     assert gaps[1] == (16, abs(iterate_resolvent(single_atom, t / np.array([16]), z0, [16])[0] - endpoint))
 
 
+def test_rung_that_needs_the_fallback(monkeypatch):
+    # a TRAP_CONFIG generator whose n = 32 chain does not converge: that rung alone is composed by iterate_resolvent
+    spec, z0 = sample_generator(588145293, TRAP_CONFIG), 0.8794222928291348 + 0.4739382141958459j
+    t, ns = 1.0, (8, 16, 32, 64, 128)
+    chains, converged = semigroup._chains, []
+
+    def recording(*args):
+        w, ok = chains(*args)
+        converged.append(ok.tolist())
+        return w, ok
+
+    monkeypatch.setattr(semigroup, "_chains", recording)
+    gaps = ladder_gaps(spec, z0, t, ns)
+    assert converged == [[n != 32 for n in ns]]
+    endpoint = integrate(spec, z0, t, n_eval=129).endpoint
+    assert gaps[2] == (32, abs(iterate_resolvent(spec, t / np.array([32]), z0, [32])[0] - endpoint))
+    assert [gap for _, gap in gaps] == pytest.approx([0.01243, 0.005860, 0.002911, 0.001423, 0.0007045], rel=1e-3)
+
+
 def test_chain_leaving_the_trust_disk_is_refused(single_atom):
     # from w_k = -0.9 the first Newton round jumps out of |w| < |z0| + 1e-12; from 0.45 the chain converges
     w, converged = semigroup._chains(single_atom, 0.5 + 0j, 1.0, [8], np.full(8, -0.9 + 0j))
@@ -577,3 +597,24 @@ def test_missed_times_continue_from_the_previous_one(single_atom, monkeypatch):
     traj = integrate(single_atom, 0.25, 2.0)
     assert sizes == [201] + [1] * 100
     assert np.max(np.abs(traj.points - full.points)) <= 1e-15
+
+
+def test_times_that_need_the_restart(monkeypatch):
+    # a TRAP_CONFIG generator on which the first Newton pass misses a few times; each restarts from the time before
+    spec, z0 = sample_generator(138051204, TRAP_CONFIG), 0.6655162349780125 - 0.7329311979856574j
+    newton, calls = semigroup._newton, []
+
+    def recording(*args):
+        w, p, ok = newton(*args)
+        calls.append(ok.tolist())
+        return w, p, ok
+
+    monkeypatch.setattr(semigroup, "_newton", recording)
+    traj = integrate(spec, z0, 1.0)
+    assert [len(ok) for ok in calls] == [201, 1, 1, 1]
+    assert calls[0].count(False) == 3 and calls[1:] == [[True]] * 3
+    assert squeeze_check(traj, spec.a).ok
+    calls.clear()
+    ladder_gaps(spec, z0, 1.0)
+    assert [len(ok) for ok in calls] == [129, 1, 1]
+    assert calls[0].count(False) == 2 and calls[1:] == [[True]] * 2
