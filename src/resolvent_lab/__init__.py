@@ -33,7 +33,6 @@ from .exceptions import (
     ResolventLabError,
 )
 from .herglotz import (
-    Disk,
     GeneratorSpec,
     SampleConfig,
     constant_generator,

@@ -89,16 +89,16 @@ def _check_t_end(t_end) -> float:
     return t_end
 
 
-# The most resolvent steps one composition may take.  ``ladder_gaps`` solves a rung of n steps as one
-# system in n unknowns, so this also bounds its memory: the doubling ladder 8 ... 2**16 peaks at about 75 MB.
+# The most resolvent steps one composition may take.  ``iterate_resolvent`` makes one grid solve per step,
+# one after the other, so this bounds the time that one count from outside can ask for.
 MAX_COMPOSITIONS = 2**16
 
 
-def _check_count(n, name: str, minimum: int = 1, maximum: int = 2**63 - 1) -> np.ndarray:
-    """n as an int64 array; DomainError unless every entry is an integer, not a bool, in [minimum, maximum]."""
+def _check_count(n, name: str, maximum: int = 2**63 - 1) -> np.ndarray:
+    """n as an int64 array; DomainError unless every entry is an integer, not a bool, in [1, maximum]."""
     items = np.asarray(n, dtype=object)
-    ok = np.fromiter((isinstance(v, numbers.Integral) and not isinstance(v, (bool, np.bool_)) and v >= minimum
+    ok = np.fromiter((isinstance(v, numbers.Integral) and not isinstance(v, (bool, np.bool_)) and v >= 1
                       for v in items.flat), bool, items.size).reshape(items.shape)
-    _check(ok, f"{name} must be an integer >= {minimum}, got {{!r}}", items)
+    _check(ok, f"{name} must be an integer >= 1, got {{!r}}", items)
     _check(items <= maximum, f"{name} must be at most {maximum}, got {{!r}}", items)
     return items.astype(np.int64)

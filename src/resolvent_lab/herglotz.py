@@ -98,16 +98,6 @@ class GeneratorSpec:
     def n_atoms(self) -> int:
         return len(self.atoms)
 
-@dataclass(frozen=True)
-class Disk:
-    """Closed disk {v : |v - center| <= radius} in the complex plane."""
-
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        _check(0.0 <= self.radius < math.inf, "disk radius must be finite and >= 0, got {}", self.radius)
-
 @lru_cache(maxsize=4096)
 def _atom_arrays(spec: GeneratorSpec):
     thetas = np.array([t for t, _ in spec.atoms])
@@ -179,11 +169,11 @@ def eval_p(spec: GeneratorSpec, z):
     p = _p_and_dp(spec, _check_points(z))[0]
     return complex(p[()]) if scalar else p
 
-def value_disk(spec: GeneratorSpec, r: float) -> Disk:
-    """Closed disk containing p(z) for every |z| = r.
+def value_disk(spec: GeneratorSpec, r: float):
+    """Closed disk |v - center| <= radius containing p(z) for every |z| = r.
 
-    Center (q + r^2 conj(q) - 2 a r^2) / (1 - r^2), radius
-    2 r (Re q - a) / (1 - r^2).  For r = 0 this degenerates to {q};
+    Returns (center, radius): center (q + r^2 conj(q) - 2 a r^2) / (1 - r^2),
+    radius 2 r (Re q - a) / (1 - r^2).  For r = 0 this degenerates to {q};
     for scale = 0 the radius vanishes at every r.
     """
     _check(0.0 <= r < 1.0, "radius must satisfy 0 <= r < 1, got {}", r)
@@ -191,7 +181,7 @@ def value_disk(spec: GeneratorSpec, r: float) -> Disk:
     denom = 1.0 - r * r
     center = (q + r * r * q.conjugate() - 2.0 * spec.a * r * r) / denom
     radius = 2.0 * r * spec.scale / denom
-    return Disk(center, radius)
+    return center, radius
 
 def harnack_bounds(spec: GeneratorSpec, r: float):
     """Sharp two-sided bounds for Re p on the circle |z| = r.

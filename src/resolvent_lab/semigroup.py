@@ -67,8 +67,8 @@ converged prefix.
 
 The n-fold resolvent composition G_{t/n} o ... o G_{t/n} approximates the
 flow at time t with an O(1/n) gap (the product formula; Chernoff,
-Crandall-Liggett).  ``ladder_gaps`` is its one entry point, and one n is a
-one-rung ladder.  A rung of n steps, s = t/n and w_0 = z0, is one system
+Crandall-Liggett).  ``ladder_gaps``, its one entry point, climbs the rungs
+n = 8, 16, ..., 128.  A rung of n steps, s = t/n and w_0 = z0, is one system
 
     R_k = w_k (1 + s p(w_k)) - w_(k-1) = 0,   k = 1 ... n,
 
@@ -93,7 +93,7 @@ A rung is accepted only then; one whose iterate leaves the trust disk
 solve per step) for that rung only.
 
 A flow's cost does not depend on t_end: both integrators take any finite
-t_end >= 0 (far out, w0 e^(-kappa t) underflows to 0) and n_eval >= 2.
+t_end >= 0 (far out, w0 e^(-kappa t) underflows to 0).
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import MAX_COMPOSITIONS, IntegrationError, _check_count, _check_lambda, _check_points, _check_t_end
+from .exceptions import IntegrationError, _check_lambda, _check_points, _check_t_end
 # eval_p is not called here: perfbench's traced run wraps it in this
 # namespace, and tests/test_bindings.py pins every name that run looks up.
 from .herglotz import GeneratorSpec, _atom_arrays, _p_and_dp, eval_p  # noqa: F401
@@ -141,6 +141,9 @@ _CHAIN_ROUNDS = 12
 _CHAIN_TOL = 1e-13
 # How far |u(t)| may rise above the squeezing envelope before squeeze_check fails.
 _SQUEEZE_SLACK = 1e-8
+# The sample times of a flow from 0 to t_end, and the rungs of the product-formula ladder.
+_N_EVAL = 201
+_LADDER = (8, 16, 32, 64, 128)
 
 
 @dataclass(frozen=True)
@@ -356,11 +359,6 @@ def _newton(spec, lam, kappa, w0, phi0, target, guess):
         return w, p, _settled(kappa, lam, w, p, dp, phi, phi0, G, target)[0]
 
 
-def _sample_times(t_end, n_eval) -> np.ndarray:
-    """The n_eval evenly spaced sample times of an integrator, from 0 to t_end."""
-    return np.linspace(0.0, _check_t_end(t_end), int(_check_count(n_eval, "n_eval", 2)))
-
-
 def _flow(spec, lam, z0, times):
     """Flow of f o G_lam from z0, solved in w and returned in u; lam = 0 is the plain flow.
 
@@ -407,30 +405,24 @@ def _flow(spec, lam, z0, times):
     return Trajectory(times=times, points=points, z0=z0)
 
 
-def integrate(spec: GeneratorSpec, z0: complex, t_end: float, n_eval: int = 201) -> Trajectory:
-    """The flow du/dt = -p(u) u from z0, sampled at n_eval times from 0 to t_end.
+def integrate(spec: GeneratorSpec, z0: complex, t_end: float) -> Trajectory:
+    """The flow du/dt = -p(u) u from z0, sampled at _N_EVAL = 201 even times from 0 to t_end.
 
     Each sample is the exact flow up to rounding (see the module
     docstring).  Starting too close to an atom direction, or a root-find
     that fails, raises IntegrationError carrying the trajectory before it.
     """
-    return _flow(spec, 0.0, z0, _sample_times(t_end, n_eval))
+    return _flow(spec, 0.0, z0, np.linspace(0.0, _check_t_end(t_end), _N_EVAL))
 
 
-def integrate_composed(
-    spec: GeneratorSpec,
-    lam: float,
-    z0: complex,
-    t_end: float,
-    n_eval: int = 201,
-) -> Trajectory:
+def integrate_composed(spec: GeneratorSpec, lam: float, z0: complex, t_end: float) -> Trajectory:
     """The flow of the composed generator: du/dt = -f(G_lambda(u)).
 
     Its decay is governed by the composed accretivity floor a_lambda:
     |u(t)| <= e^(-a_lambda t) |z0|.  It is solved in w = G_lambda(u) after
     one resolvent solve, and the pole check applies to w.
     """
-    return _flow(spec, float(_check_lambda(lam)), z0, _sample_times(t_end, n_eval))
+    return _flow(spec, float(_check_lambda(lam)), z0, np.linspace(0.0, _check_t_end(t_end), _N_EVAL))
 
 
 @dataclass(frozen=True)
@@ -504,25 +496,23 @@ def _chains(spec, z0, t, ns, start):
     return w[ends - 1], converged
 
 
-def ladder_gaps(spec: GeneratorSpec, z0: complex, t: float, ns=(8, 16, 32, 64, 128)):
-    """Product-formula gaps [(n, |G_{t/n}^(n)(z0) - u(t, z0)|)] along an n-ladder; empirically O(1/n).
+def ladder_gaps(spec: GeneratorSpec, z0: complex, t: float):
+    """Product-formula gaps [(n, |G_{t/n}^(n)(z0) - u(t, z0)|)] for n = 8, 16, ..., 128; empirically O(1/n).
 
     One flow root-find gives u at every time k t / n of every rung; each
     rung is then one Newton chain started from those values, and a rung
-    whose chain fails is composed by ``iterate_resolvent``.  A one-rung
-    ladder is the product formula at one n.
+    whose chain fails is composed by ``iterate_resolvent``.
     """
-    ns = _check_count(ns, "composition count", maximum=MAX_COMPOSITIONS).tolist()
     t = _check_t_end(t)
-    grids = [np.linspace(0.0, t, n + 1) for n in ns]
-    times = np.unique(np.concatenate([[0.0, t], *grids]))
+    grids = [np.linspace(0.0, t, n + 1) for n in _LADDER]
+    times = np.unique(np.concatenate(grids))
     flow = _flow(spec, 0.0, z0, times)
     endpoint = flow.endpoint
-    if not t or not ns:
-        return [(n, 0.0) for n in ns]
+    if not t:
+        return [(n, 0.0) for n in _LADDER]
     start = flow.points[np.searchsorted(times, np.concatenate([g[1:] for g in grids]))]
-    composed, converged = _chains(spec, flow.z0, t, ns, start)
+    composed, converged = _chains(spec, flow.z0, t, _LADDER, start)
     if not converged.all():
-        failed = np.array(ns)[~converged]
+        failed = np.array(_LADDER)[~converged]
         composed[~converged] = iterate_resolvent(spec, t / failed, flow.z0, failed)
-    return [(n, abs(complex(u) - endpoint)) for n, u in zip(ns, composed)]
+    return [(n, abs(complex(u) - endpoint)) for n, u in zip(_LADDER, composed)]

@@ -417,11 +417,11 @@ def _suite_herglotz_equiv(cfg: SuiteConfig, seed: int):
             zs = r * np.exp(1j * ang)
             zs = np.concatenate([zs, [r + 0.0j, -r + 0.0j]])
             p = eval_p(spec, zs)
-            disk = value_disk(spec, float(r))
+            center, radius = value_disk(spec, float(r))
             lo, hi = harnack_bounds(spec, float(r))
-            tol = 1e-10 * max(1.0, abs(disk.center) + disk.radius)
-            dist = np.abs(p - disk.center)
-            col.add_array(factor * disk.radius - dist, factor * disk.radius, dist, spec, None, zs, tol)
+            tol = 1e-10 * max(1.0, abs(center) + radius)
+            dist = np.abs(p - center)
+            col.add_array(factor * radius - dist, factor * radius, dist, spec, None, zs, tol)
             col.add_array(p.real - lo, lo, p.real, spec, None, zs, tol)
             col.add_array(factor * hi - p.real, factor * hi, p.real, spec, None, zs, tol)
             col.add_array(p.real - spec.a, spec.a, p.real, spec, None, zs, tol)

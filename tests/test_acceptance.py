@@ -207,7 +207,7 @@ def test_criterion_8_semigroup():
     rep = run_suite("squeeze", cfg, seed=SEED)
     assert rep.violations == [], rep.violations[:3]
 
-    gaps = ladder_gaps(extremal_generator(1.0, 0.0), 0.5, 1.0, ns=(8, 16, 32, 64, 128))
+    gaps = ladder_gaps(extremal_generator(1.0, 0.0), 0.5, 1.0)
     ratios = [g2 / g1 for (_, g1), (_, g2) in zip(gaps, gaps[1:])]
     for r in ratios:
         assert 0.4 <= r <= 0.6, f"ratio {r} outside halving +-20%"

@@ -201,8 +201,8 @@ class TestReciprocalDisk:
 
     @staticmethod
     def shifted_disk(spec, lam, tau):
-        d = value_disk(spec, tau)
-        return 1.0 + lam * d.center, lam * d.radius
+        center, radius = value_disk(spec, tau)
+        return 1.0 + lam * center, lam * radius
 
     def test_point_disk(self):
         # tau = 0: the disk is the point 1 + lambda q, and the floor is Re 1/(1 + lambda q)

@@ -41,8 +41,8 @@ class TestIntegrate:
     def test_self_consistency_tight_rerun(self, single_atom):
         # nonlinear case: every sample time is its own root-find, so the
         # endpoint does not depend on how many times are sampled before it
-        a = integrate(single_atom, 0.5, 1.0, n_eval=2).endpoint
-        b = integrate(single_atom, 0.5, 1.0, n_eval=1001).endpoint
+        a = semigroup._flow(single_atom, 0.0, 0.5, np.linspace(0.0, 1.0, 2)).endpoint
+        b = semigroup._flow(single_atom, 0.0, 0.5, np.linspace(0.0, 1.0, 1001)).endpoint
         assert abs(a - b) <= 1e-14
 
     def test_modulus_non_increasing(self, random_specs):
@@ -151,13 +151,6 @@ class TestIntegrate:
         # the composed right-hand side evaluates p at G(u), away from the atom
         traj = integrate_composed(single_atom, 1.0, 0.9996, 0.1)
         assert abs(traj.endpoint) < 0.9996
-
-    @pytest.mark.parametrize("n_eval", [1, 0, -3])
-    def test_both_integrators_reject_bad_n_eval(self, single_atom, n_eval):
-        with pytest.raises(DomainError):
-            integrate(single_atom, 0.5, 1.0, n_eval=n_eval)
-        with pytest.raises(DomainError):
-            integrate_composed(single_atom, 1.0, 0.5, 1.0, n_eval=n_eval)
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
     def test_composed_rejects_bad_lambda(self, single_atom, lam):
@@ -284,15 +277,16 @@ class TestProductFormula:
     def test_linear_closed_form(self, constant_one):
         # iterated value is exactly z0/(1+t/n)^n
         z0, t = 0.5, 1.0
+        gaps = dict(ladder_gaps(constant_one, z0, t))
         for n in (8, 32):
             iterated = iterate_resolvent(constant_one, t / n, z0, n)
             assert iterated == pytest.approx(z0 / (1 + t / n) ** n, abs=1e-12)
             expected_gap = abs(z0 / (1 + t / n) ** n - z0 * np.exp(-t))
-            [(_, gap)] = ladder_gaps(constant_one, z0, t, ns=(n,))
-            assert gap == pytest.approx(expected_gap, abs=1e-8)
+            assert gaps[n] == pytest.approx(expected_gap, abs=1e-8)
 
     def test_t_zero_gap(self, single_atom):
-        assert ladder_gaps(single_atom, 0.4, 0.0, ns=(1,)) == [(1, 0.0)]
+        for z0 in (0.4, 0.5):
+            assert ladder_gaps(single_atom, z0, 0.0) == [(n, 0.0) for n in semigroup._LADDER]
 
     def test_ladder_halves(self, single_atom):
         gaps = ladder_gaps(single_atom, 0.5, 1.0)
@@ -311,28 +305,24 @@ class TestProductFormula:
                 assert g2 < g1
 
     def test_ladder_matches_product_formula(self, single_atom, constant_one):
+        # a rung does not depend on the other rungs: each, chained alone from the flow at its own times, gives its gap
         specs = [single_atom, constant_one] + [sample_generator(s) for s in (9001, 9002, 9003, 9004)]
         for spec in specs:
             for z0, t in ((0.5, 1.0), (-0.35 + 0.35j, 0.7)):
-                ns = (3, 8, 16, 32)
-                gaps = ladder_gaps(spec, z0, t, ns=ns)
-                assert [n for n, _ in gaps] == list(ns)
-                for (_, gap), n in zip(gaps, ns):
-                    [(_, one_rung)] = ladder_gaps(spec, z0, t, ns=(n,))
-                    assert abs(gap - one_rung) <= 1e-15
-
-    def test_ladder_edge_cases(self, single_atom):
-        assert ladder_gaps(single_atom, 0.5, 1.0, ns=()) == []
-        assert ladder_gaps(single_atom, 0.5, 0.0, ns=(1, 4)) == [(1, 0.0), (4, 0.0)]
-        with pytest.raises(DomainError):
-            ladder_gaps(single_atom, 0.5, 1.0, ns=(8, 0))
+                gaps = ladder_gaps(spec, z0, t)
+                assert [n for n, _ in gaps] == list(semigroup._LADDER)
+                for n, gap in gaps:
+                    flow = semigroup._flow(spec, 0.0, z0, np.linspace(0.0, t, n + 1))
+                    [one_rung], converged = semigroup._chains(spec, flow.z0, t, [n], flow.points[1:])
+                    assert converged.all()
+                    assert abs(gap - abs(one_rung - flow.endpoint)) <= 1e-15
 
     def test_iterated_matches_compose(self, single_atom):
         # a rung's gap is |G_{t/n}^(n)(z0) - u(t, z0)| against the ladder's flow endpoint; the chain
         # and iterate_resolvent's solves stop on different tests, so they agree to 1e-12, not bit for bit
-        endpoint = integrate(single_atom, 0.5, 1.0, n_eval=2).endpoint
-        [(_, gap)] = ladder_gaps(single_atom, 0.5, 1.0, ns=(2,))
-        assert gap == pytest.approx(abs(iterate_resolvent(single_atom, 0.5, 0.5, 2) - endpoint), abs=1e-12)
+        endpoint = integrate(single_atom, 0.5, 1.0).endpoint
+        gap = dict(ladder_gaps(single_atom, 0.5, 1.0))[8]
+        assert gap == pytest.approx(abs(iterate_resolvent(single_atom, 0.125, 0.5, 8) - endpoint), abs=1e-12)
 
 
 
@@ -368,30 +358,30 @@ CHAIN_SPECS = {"single-atom": extremal_generator(1.0, 0.0), "constant": constant
 
 @pytest.mark.parametrize("name", CHAIN_SPECS)
 def test_chain_matches_tight_sequential_composition(name):
-    # the default doubling ladder samples the flow at linspace(0, t, 129), as integrate does with n_eval = 129
-    spec, ns = CHAIN_SPECS[name], (8, 16, 32, 64, 128)
+    # the doubling ladder samples the flow at linspace(0, t, 129)
+    spec, ns = CHAIN_SPECS[name], semigroup._LADDER
     theta = spec.atoms[0][0] if spec.atoms else 0.0
     z0s = [r * np.exp(1j * (theta + d)) for r in (0.5, 0.9, 0.999) for d in (0.0, 0.7, np.pi)]
     for t in (1.0, 3.0):
         reference = sequential_compositions(spec, z0s, t, ns, tol=1e-14)
         for z0, row in zip(z0s, reference):
-            endpoint = integrate(spec, z0, t, n_eval=129).endpoint
-            for (n, gap), w in zip(ladder_gaps(spec, z0, t, ns), row):
+            endpoint = semigroup._flow(spec, 0.0, z0, np.linspace(0.0, t, 129)).endpoint
+            for (n, gap), w in zip(ladder_gaps(spec, z0, t), row):
                 assert abs(gap - abs(w - endpoint)) <= 1e-12, (n, z0, t)
 
 
 @pytest.mark.parametrize("name", ["single-atom", "constant"])
 def test_failed_chains_fall_back_to_iterate_resolvent(name, monkeypatch):
-    spec, z0, t, ns = CHAIN_SPECS[name], -0.35 + 0.35j, 1.0, (8, 16, 32)
+    spec, z0, t, ns = CHAIN_SPECS[name], -0.35 + 0.35j, 1.0, semigroup._LADDER
     monkeypatch.setattr(semigroup, "_CHAIN_ROUNDS", 0)  # no rung converges
-    endpoint = integrate(spec, z0, t, n_eval=33).endpoint  # the ladder's own flow times
+    endpoint = semigroup._flow(spec, 0.0, z0, np.linspace(0.0, t, 129)).endpoint  # the ladder's own flow times
     composed = iterate_resolvent(spec, t / np.array(ns), z0, ns)
-    assert ladder_gaps(spec, z0, t, ns) == [(n, abs(complex(w) - endpoint)) for n, w in zip(ns, composed)]
+    assert ladder_gaps(spec, z0, t) == [(n, abs(complex(w) - endpoint)) for n, w in zip(ns, composed)]
 
 
 def test_only_the_failed_rung_falls_back(single_atom, monkeypatch):
-    z0, t, ns = 0.6 * np.exp(0.4j), 1.0, (8, 16, 32)
-    chained = ladder_gaps(single_atom, z0, t, ns)
+    z0, t, ns = 0.6 * np.exp(0.4j), 1.0, semigroup._LADDER
+    chained = ladder_gaps(single_atom, z0, t)
     chains, fallback = semigroup._chains, []
 
     def fail_16(*args):
@@ -404,17 +394,17 @@ def test_only_the_failed_rung_falls_back(single_atom, monkeypatch):
 
     monkeypatch.setattr(semigroup, "_chains", fail_16)
     monkeypatch.setattr(semigroup, "iterate_resolvent", recording)
-    gaps = ladder_gaps(single_atom, z0, t, ns)
+    gaps = ladder_gaps(single_atom, z0, t)
     assert fallback == [[16]]
-    assert (gaps[0], gaps[2]) == (chained[0], chained[2])
-    endpoint = integrate(single_atom, z0, t, n_eval=33).endpoint
+    assert gaps[:1] + gaps[2:] == chained[:1] + chained[2:]
+    endpoint = semigroup._flow(single_atom, 0.0, z0, np.linspace(0.0, t, 129)).endpoint
     assert gaps[1] == (16, abs(iterate_resolvent(single_atom, t / np.array([16]), z0, [16])[0] - endpoint))
 
 
 def test_rung_that_needs_the_fallback(monkeypatch):
     # a TRAP_CONFIG generator whose n = 32 chain does not converge: that rung alone is composed by iterate_resolvent
     spec, z0 = sample_generator(588145293, TRAP_CONFIG), 0.8794222928291348 + 0.4739382141958459j
-    t, ns = 1.0, (8, 16, 32, 64, 128)
+    t, ns = 1.0, semigroup._LADDER
     chains, converged = semigroup._chains, []
 
     def recording(*args):
@@ -423,9 +413,9 @@ def test_rung_that_needs_the_fallback(monkeypatch):
         return w, ok
 
     monkeypatch.setattr(semigroup, "_chains", recording)
-    gaps = ladder_gaps(spec, z0, t, ns)
+    gaps = ladder_gaps(spec, z0, t)
     assert converged == [[n != 32 for n in ns]]
-    endpoint = integrate(spec, z0, t, n_eval=129).endpoint
+    endpoint = semigroup._flow(spec, 0.0, z0, np.linspace(0.0, t, 129)).endpoint
     assert gaps[2] == (32, abs(iterate_resolvent(spec, t / np.array([32]), z0, [32])[0] - endpoint))
     assert [gap for _, gap in gaps] == pytest.approx([0.01243, 0.005860, 0.002911, 0.001423, 0.0007045], rel=1e-3)
 
@@ -442,13 +432,13 @@ def test_chain_leaving_the_trust_disk_is_refused(single_atom):
 @pytest.mark.parametrize("z0", [0.5, -0.9 + 0.1j, 0.999j])
 def test_large_step_ladders_match_closed_forms(z0):
     # t = 1e4 over 8 steps: s = 1250, and the flow itself underflows to 0
-    t, ns = 1e4, (8,)
-    [(_, gap)] = ladder_gaps(constant_generator(1.0), z0, t, ns)
+    t = 1e4
+    gap = dict(ladder_gaps(constant_generator(1.0), z0, t))[8]
     assert gap == pytest.approx(abs(z0 / (1.0 + t / 8) ** 8 - z0 * np.exp(-t)), rel=1e-12)
     w = z0
     for _ in range(8):
         w = single_atom_resolvent(w, t / 8)
-    [(_, gap)] = ladder_gaps(extremal_generator(1.0, 0.0), z0, t, ns)
+    gap = dict(ladder_gaps(extremal_generator(1.0, 0.0), z0, t))[8]
     assert gap == pytest.approx(abs(w), rel=1e-12)
 
 # ---------------------------------------------------------------------------
@@ -521,7 +511,7 @@ def _worst_gap(spec):
     for lam in (0.0, 0.2, 1.0, 5.0):
         reference = rk45_flows(spec, lam, z0s, 1.0, 21)
         for z0, ref in zip(z0s, reference):
-            traj = integrate_composed(spec, lam, z0, 1.0, n_eval=21) if lam else integrate(spec, z0, 1.0, n_eval=21)
+            traj = semigroup._flow(spec, lam, z0, np.linspace(0.0, 1.0, 21))
             worst = max(worst, float(np.max(np.abs(traj.points - ref))))
     return worst
 
@@ -530,10 +520,9 @@ def _worst_gap(spec):
 def test_exact_flow_matches_rk45(name):
     spec = GENERAL[name]
     assert _worst_gap(spec) <= 1e-10
-    z0, t, ns = 0.5 * np.exp(0.3j), 1.0, (8, 16, 32)
+    z0, t = 0.5 * np.exp(0.3j), 1.0
     endpoint = rk45_flow(spec, 0.0, z0, t, 2)[-1]
-    for (n, gap), n_ref in zip(ladder_gaps(spec, z0, t, ns), ns):
-        assert n == n_ref
+    for n, gap in ladder_gaps(spec, z0, t):
         assert abs(gap - abs(iterate_resolvent(spec, t / n, z0, n) - endpoint)) <= 1e-10
 
 
@@ -546,7 +535,7 @@ def test_composed_flow_matches_scalar_rk45():
     # one start per RK45 run, so the error norm is that start's own; integrate has its scalar cases below
     spec = GENERAL["random-4-atoms"]
     z0 = 0.999 * np.exp(1j * (spec.atoms[0][0] + 0.7))
-    traj = integrate_composed(spec, 1.0, z0, 1.0, n_eval=21)
+    traj = semigroup._flow(spec, 1.0, z0, np.linspace(0.0, 1.0, 21))
     assert np.max(np.abs(traj.points - rk45_flow(spec, 1.0, z0, 1.0, 21))) <= 1e-10
 
 
@@ -560,7 +549,7 @@ def test_near_double_zero_enters_as_a_pair():
 @pytest.mark.parametrize("z0", [-0.9999, -0.99999999])
 def test_flow_next_to_a_zero_of_p(single_atom, z0):
     # p = (1 + u) / (1 - u) vanishes at u = -1, where G is steep and its log terms nearly singular
-    traj = integrate(single_atom, z0, 1.0, n_eval=21)
+    traj = semigroup._flow(single_atom, 0.0, z0, np.linspace(0.0, 1.0, 21))
     assert np.max(np.abs(traj.points - rk45_flow(single_atom, 0.0, z0, 1.0, 21))) <= 1e-10
 
 
@@ -618,3 +607,19 @@ def test_times_that_need_the_restart(monkeypatch):
     ladder_gaps(spec, z0, 1.0)
     assert [len(ok) for ok in calls] == [129, 1, 1]
     assert calls[0].count(False) == 2 and calls[1:] == [[True]] * 2
+
+
+def test_ladder_that_needs_the_descent_test():
+    # a TRAP_CONFIG start beside an atom: the ladder's flow misses t = 1/128 for good if _newton takes any finite
+    # candidate in the trust disk instead of one that lowers |G|, or stops halving a step that does not
+    spec, z0 = sample_generator(314728431, TRAP_CONFIG), -0.802126778884191 + 0.5969862985001182j
+    gaps = ladder_gaps(spec, z0, 1.0)
+    assert [n for n, _ in gaps] == list(semigroup._LADDER)
+    assert [gap for _, gap in gaps] == pytest.approx([0.03206, 0.01674, 0.008678, 0.004501, 0.002339], rel=1e-3)
+
+
+def test_flow_that_needs_the_step_halving():
+    # a TRAP_CONFIG start near the circle: without halving a step that does not lower |G|, the flow misses
+    # t = 0.005 for good
+    spec, z0 = sample_generator(776961316, TRAP_CONFIG), -0.16160418088315234 - 0.9867543254129092j
+    assert squeeze_check(integrate(spec, z0, 1.0), spec.a).ok

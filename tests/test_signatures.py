@@ -16,7 +16,6 @@ import resolvent_lab
 EXPECTED = {
     "BoundSet": "(q, a, lam, A, B, distortion, a_lambda, d_lambda, rho_star, alpha, beta)",
     "ConfigError": None,
-    "Disk": "(center, radius)",
     "DomainError": None,
     "GeneratorSpec": "(atoms, a=0.0, scale=1.0, gamma=0.0)",
     "GridSolution": "(w, g, residual, iterations, Q)",
@@ -45,10 +44,10 @@ EXPECTED = {
     "eval_p": "(spec, z)",
     "extremal_generator": "(q=1.0, a=0.0)",
     "harnack_bounds": "(spec, r)",
-    "integrate": "(spec, z0, t_end, n_eval=201)",
-    "integrate_composed": "(spec, lam, z0, t_end, n_eval=201)",
+    "integrate": "(spec, z0, t_end)",
+    "integrate_composed": "(spec, lam, z0, t_end)",
     "iterate_resolvent": "(spec, lam, z, n)",
-    "ladder_gaps": "(spec, z0, t, ns=(8, 16, 32, 64, 128))",
+    "ladder_gaps": "(spec, z0, t)",
     "load_spec": "(path)",
     "region_boundary": "(s)",
     "resolvent_accretivity": "(q, a, lam)",
