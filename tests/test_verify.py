@@ -134,17 +134,39 @@ def test_config_from_dict_round_trip():
         SuiteConfig.from_dict({"bogus_key": 1})
 
 
-# Each row breaks a rule of the SuiteConfig fields; test_cli.py::test_bad_config_exit_2 checks unknown keys.
+# Rows with the keys that are module constants now (the ranges, r_max, t_end, the ladder) stay as unknown keys.
 BAD_CONFIGS = [
-    pytest.param({"n_generators": "3"}, id="count-as-text"),
-    pytest.param({"n_generators": 3.0}, id="count-as-float"),
-    pytest.param({"n_lambdas": True}, id="count-as-bool"),
-    pytest.param({"negative_control": 1}, id="control-as-int"),
-    pytest.param([], id="not-an-object"),
-    pytest.param({"n_angles": -3}, id="negative-angles"),
-    pytest.param({"n_generators": -1}, id="negative-generators"),
-    pytest.param({"n_random": -5}, id="negative-random"),
-    pytest.param({"n_lambdas": 2.5}, id="fractional-count"),
+    {"n_generators": "3"},
+    {"n_generators": 3.0},
+    {"n_lambdas": True},
+    {"ladder": "abc"},
+    {"ladder": [8, "16"]},
+    {"lambda_range": [0.1]},
+    {"lambda_range": "0.1,5"},
+    {"r_max": "0.9"},
+    {"negative_control": 1},
+    [],
+    {"n_angles": -3},
+    {"n_generators": -1},
+    {"n_random": -5},
+    {"ladder": [-8, -16]},
+    {"r_max": -0.5},
+    {"r_max": 0.0},
+    {"r_max": 1},
+    {"r_max": float("nan")},
+    {"lambda_range": [0.0, 5.0]},
+    {"lambda_range": [0.1, -5.0]},
+    {"lambda_range": [0.1, float("inf")]},
+    {"t_end": -1.0},
+    {"t_end": float("-inf")},
+    {"t_end": float("inf")},
+    {"t_end": float("nan")},
+    {"max_atoms": 0},
+    {"scale_range": [2.0, 1.0]},
+    {"a_range": [-1.0, 1.0]},
+    {"ladder": [8, 9, 10]},
+    {"n_lambdas": 2.5},
+    {"t_end": 10**400},
 ]
 
 
@@ -154,9 +176,11 @@ def test_config_from_dict_rejects_wrong_types(data):
         SuiteConfig.from_dict(data)
 
 
-@pytest.mark.parametrize("data", [d for d in BAD_CONFIGS if isinstance(d.values[0], dict)])
+@pytest.mark.parametrize("data", [d for d in BAD_CONFIGS if isinstance(d, dict)])
 def test_direct_construction_rejects_the_same(data):
-    with pytest.raises(ConfigError):
+    # a key that is no field is no keyword of the constructor either
+    unknown = set(data) - {f.name for f in dataclasses.fields(SuiteConfig)}
+    with pytest.raises(TypeError if unknown else ConfigError):
         SuiteConfig(**data)
 
 
