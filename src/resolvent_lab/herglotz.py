@@ -100,10 +100,18 @@ class GeneratorSpec:
 
 @lru_cache(maxsize=4096)
 def _atom_arrays(spec: GeneratorSpec):
+    """The weights m_k, conj(zeta_k) and m_k conj(zeta_k) of a spec's atoms."""
     thetas = np.array([t for t, _ in spec.atoms])
     weights = np.array([w for _, w in spec.atoms])
     conj_zetas = np.exp(-1j * thetas)
-    return weights, conj_zetas
+    return weights, conj_zetas, weights * conj_zetas
+
+
+@lru_cache(maxsize=4096)
+def _p_series(spec: GeneratorSpec):
+    """(p1, p2), the z and z^2 Taylor coefficients of p at 0: 2 scale sum_k m_k conj(zeta_k)^j."""
+    _, conj_zetas, weighted = _atom_arrays(spec)
+    return complex(2.0 * spec.scale * weighted.sum()), complex(2.0 * spec.scale * (weighted * conj_zetas).sum())
 
 # Point-atom pairs per kernel block: at most 64 KiB per complex temporary,
 # half of glibc malloc's default mmap threshold (see _p_and_dp).
@@ -132,12 +140,12 @@ def _p_and_dp(spec: GeneratorSpec, z: np.ndarray):
         p = np.full(np.shape(z), const, dtype=complex)
         dp = np.zeros(np.shape(z), dtype=complex)
         return p, dp
-    weights, conj_zetas = _atom_arrays(spec)
+    weights, conj_zetas, weighted = _atom_arrays(spec)
     z = np.asarray(z)
     near_rim = z.size > 0 and np.max(np.abs(z)) > 1.0 - 1e-13
     step = max(2, _BLOCK // conj_zetas.size)
     if z.size <= step:
-        return _kernel(spec, weights, conj_zetas, const, z, near_rim)
+        return _kernel(spec, weights, conj_zetas, weighted, const, z, near_rim)
     flat = z.reshape(-1)
     p = np.empty(flat.shape, dtype=complex)
     dp = np.empty(flat.shape, dtype=complex)
@@ -145,18 +153,18 @@ def _p_and_dp(spec: GeneratorSpec, z: np.ndarray):
     # one, so the last block takes a lone trailing point with it.
     edges = [*range(0, flat.size - 1, step), flat.size]
     for lo, hi in zip(edges, edges[1:]):
-        p[lo:hi], dp[lo:hi] = _kernel(spec, weights, conj_zetas, const, flat[lo:hi], near_rim)
+        p[lo:hi], dp[lo:hi] = _kernel(spec, weights, conj_zetas, weighted, const, flat[lo:hi], near_rim)
     return p.reshape(z.shape), dp.reshape(z.shape)
 
 
-def _kernel(spec, weights, conj_zetas, const, z, near_rim):
+def _kernel(spec, weights, conj_zetas, weighted, const, z, near_rim):
     """One block of _p_and_dp: (points x atoms) kernel sums for p and p'."""
     denom = 1.0 - np.multiply.outer(z, conj_zetas)
     if near_rim and np.min(np.abs(denom)) < POLE_GUARD:
         raise DomainError("evaluation point is numerically on a kernel pole")
     inv = 1.0 / denom
     p = spec.scale * (2.0 * inv @ weights - 1.0) + const
-    dp = 2.0 * spec.scale * (inv * inv) @ (weights * conj_zetas)
+    dp = 2.0 * spec.scale * (inv * inv) @ weighted
     return p, dp
 
 def eval_p(spec: GeneratorSpec, z):

@@ -18,10 +18,21 @@ fixed-point iteration lacks.  No step leaves the trust disk, so a
 converged point is the root inside the disk, never the second zero F can
 have just outside it.
 
-Every solve starts cold from w = z / (1 + lambda q), the first fixed-point
-step from 0.  Seeding a solve with the solution at a neighbouring lambda
-does not pay: on the geometric lambda grids of the verification suites
-it took more iterations than the cold start, and far more on the slowest
+Every solve starts cold, from the third-order Taylor series of G_lambda
+at 0 in its [1/2] Pade form.  With D = 1 + lambda q, w0 = z / D (the first
+fixed-point step from 0) and p = q + p1 z + p2 z^2 + ..., put
+u = lambda p1 / D and v = lambda p2 / D; then
+
+    G_lambda(z) = w0 - u w0^2 + (2 u^2 - v) w0^3 + O(z^4),
+    start       = w0 / (1 + u w0 + (v - u^2) w0^2),
+
+which is exact for the Moebius case p = (1 + z)/(1 - z) at lambda = 1.  A
+start that is not finite or leaves the trust disk falls back to w0.  The
+start only saves rounds (a quarter of the suites' point-iterations); the
+trust disk, not the start, makes a converged point the root inside the
+disk.  Seeding a solve with the solution at a neighbouring lambda does
+not pay: on the geometric lambda grids of the verification suites it took
+more iterations than a cold start from w0, and far more on the slowest
 points.
 
 ``solve_resolvent_grid`` is the one solve path: lambda is broadcast against
@@ -55,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import MAX_COMPOSITIONS, NonConvergenceError, _check_broadcast, _check_count, _check_lambda, _check_points
-from .herglotz import GeneratorSpec, _p_and_dp
+from .herglotz import GeneratorSpec, _p_and_dp, _p_series
 
 DEFAULT_TOL = 1e-12
 MAX_ITER = 10_000
@@ -79,7 +90,8 @@ class ResolventSolution:
 class GridSolution:
     """Vectorized solve over an array of z points (shapes all match z).
 
-    Q = 1 + lambda p'(w) w / (1 + lambda p(w)) is the starlikeness functional (1 at z = 0).
+    Q = 1 + lambda p'(w) w / (1 + lambda p(w)) is the starlikeness functional (1 at z = 0),
+    and p is p(w) from the solve's last kernel call.
     """
 
     w: np.ndarray
@@ -87,6 +99,7 @@ class GridSolution:
     residual: np.ndarray
     iterations: np.ndarray
     Q: np.ndarray
+    p: np.ndarray
 
 
 def _solve_core(spec, lam, z, tol, max_iter):
@@ -95,6 +108,11 @@ def _solve_core(spec, lam, z, tol, max_iter):
     ``lam`` is complex, one entry per point: every product with lambda is
     complex, and a float array would be cast again in every one of them.
 
+    Each point starts from the Pade form of G_lambda's third-order series,
+    or from w0 = z / (1 + lambda q) where that is not finite or not in the
+    trust disk (see the module docstring); p1 and p2 are cached per spec
+    (``_p_series``).  ``max_iter=0`` returns the start.
+
     A round updates only the active points (|F| > tol).  Once at most half
     of the working set is active, and at least two points are, every
     per-point array is cut down to the active ones; never to a lone point,
@@ -102,15 +120,25 @@ def _solve_core(spec, lam, z, tol, max_iter):
     Each active point takes its Newton candidate if that is finite and in
     the trust disk, and the fixed-point step otherwise (a division on
     those points alone); one ``_p_and_dp`` call on the working set then
-    gives p and p' at the new points.  F' = H'(w) of a univalent H does not
-    vanish; a step that is not finite all the same fails the trust-disk test.
+    gives p and p' at the new points, and den = 1 + lambda p and
+    F = w den - z from them serve both the residual test and the next
+    round's step.  F' = H'(w) of a univalent H does not vanish; a step that
+    is not finite all the same fails the trust-disk test.
     """
     out = None  # the full-size w, p, p', |F| and iterations, from the first cut on
     idx = np.arange(z.size)
     cap = np.abs(z) + 1e-12
-    w = z / (1.0 + lam * spec.q)
+    p1, p2 = _p_series(spec)
+    D = 1.0 + lam * spec.q
+    w = z / D
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u, v = lam * p1 / D, lam * p2 / D
+        pade = w / (1.0 + (u + (v - u * u) * w) * w)
+        w = np.where(np.abs(pade) <= cap, pade, w)
     pw, dpw = _p_and_dp(spec, w)
-    aF = np.abs(w * (1.0 + lam * pw) - z)
+    den = 1.0 + lam * pw
+    F = w * den - z
+    aF = np.abs(F)
     iters = np.zeros(z.shape, dtype=np.int64)
 
     for _ in range(max_iter):
@@ -126,19 +154,21 @@ def _solve_core(spec, lam, z, tol, max_iter):
                 for full, part in zip(out, (w, pw, dpw, aF, iters)):
                     full[idx[done]] = part[done]
             keep = np.flatnonzero(active)
-            idx, z, lam, cap, w, pw, dpw, aF, iters = (a[keep] for a in (idx, z, lam, cap, w, pw, dpw, aF, iters))
+            idx, z, lam, cap, w, pw, dpw, den, F, aF, iters = (
+                a[keep] for a in (idx, z, lam, cap, w, pw, dpw, den, F, aF, iters))
             active = np.ones(n_active, dtype=bool)
-        iters[active] += 1
+        iters += active
 
-        den = 1.0 + lam * pw
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            cand = w - (w * den - z) / (den + lam * dpw * w)
+            cand = w - F / (den + lam * dpw * w)
         newton = np.abs(cand) <= cap
         back = np.flatnonzero(active & ~newton)
         w = np.where(active & newton, cand, w)
         w[back] = z[back] / den[back]
         pw, dpw = _p_and_dp(spec, w)
-        aF = np.where(active, np.abs(w * (1.0 + lam * pw) - z), aF)
+        den = 1.0 + lam * pw
+        F = w * den - z
+        aF = np.where(active, np.abs(F), aF)
 
     if out is None:
         return w, pw, dpw, aF, iters
@@ -183,6 +213,7 @@ def solve_resolvent_grid(spec: GeneratorSpec, lam, z) -> GridSolution:
         residual=aF.reshape(shape),
         iterations=iters.reshape(shape),
         Q=Q.reshape(shape),
+        p=pw.reshape(shape),
     )
 
 

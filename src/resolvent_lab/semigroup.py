@@ -201,7 +201,7 @@ def _koenigs_terms(spec: GeneratorSpec) -> _Koenigs:
     empty = np.zeros(0, dtype=complex)
     if spec.scale == 0.0:  # p == q, h == 0
         return _Koenigs(empty, empty, empty, empty, empty, np.zeros(1, dtype=complex), 0.0)
-    weights, conj_zetas = _atom_arrays(spec)
+    weights, conj_zetas, _ = _atom_arrays(spec)
     zetas, n = 1.0 / conj_zetas, conj_zetas.size
     # p(u) = d + sum_k A_k / (u - zeta_k), since (1 + x) / (1 - x) = 2 / (1 - x) - 1; scaled by sigma
     d = complex(spec.a, spec.gamma) - spec.scale
@@ -370,7 +370,7 @@ def _flow(spec, lam, z0, times):
         return start
     w0 = solve_resolvent(spec, lam, z0).w if lam else z0
     if spec.scale > 0.0:
-        _, conj_zetas = _atom_arrays(spec)
+        conj_zetas = _atom_arrays(spec)[1]
         if float(np.min(np.abs(1.0 - w0 * conj_zetas))) <= POLE_PROXIMITY:
             raise IntegrationError("initial point is inside the pole-proximity zone", trajectory=start)
     error = _koenigs_terms(spec).error

@@ -291,7 +291,7 @@ _EST1_SAMPLES = dataclasses.replace(_SAMPLES, a_range=(0.0, 0.0), scale_range=(0
 
 
 def _f_compose_claim(spec, lam, zs, sol):
-    fw = eval_p(spec, sol.w) * sol.w
+    fw = sol.p * sol.w
     return composed_accretivity(spec.q, spec.a, lam), (np.conj(zs) * fw).real / (np.abs(zs) ** 2)
 
 

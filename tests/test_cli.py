@@ -75,7 +75,7 @@ class TestResolve:
         assert "w = 0.2+0i" in out
         assert "g = 0.4+0i" in out
         # an unconverged solve exits 3, so there is no "converged" line to print
-        assert out.endswith("iterations = 4\n")
+        assert out.endswith("iterations = 0\n")
 
     def test_constant_via_spec_file(self, capsys, tmp_path):
         path = tmp_path / "const.json"
@@ -158,9 +158,9 @@ class TestResolve:
     def test_nonconvergence_exits_3(self, capsys, monkeypatch):
         from resolvent_lab import resolvent
 
-        # z = -0.95 takes more than one round, so a budget of one leaves it unconverged
+        # z = -0.95 at lambda = 2 takes more than one round, so a budget of one leaves it unconverged
         monkeypatch.setattr(resolvent, "MAX_ITER", 1)
-        code, out, err = run_cli(capsys, "resolve", "--q", "1", "--lambda", "1", "--z=-0.95")
+        code, out, err = run_cli(capsys, "resolve", "--q", "1", "--lambda", "2", "--z=-0.95")
         assert (code, out) == (3, "")
         assert err.startswith("error: 1 of 1 points unconverged after 1 iterations")
 

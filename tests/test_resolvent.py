@@ -1,5 +1,9 @@
 """Resolvent solver against closed-form oracles and its own certificates."""
 
+import decimal
+import warnings
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -56,6 +60,20 @@ class TestClosedForms:
             for z in disk_points(rng, 12, r_max=0.99):
                 sol = solve_resolvent(single_atom, lam, complex(z))
                 assert sol.w == pytest.approx(quadratic_oracle(lam, complex(z)), abs=1e-10)
+
+    def test_planted_sharp_point_forward_error(self, single_atom):
+        # the distortion suites' planted sharp point, against a 50-digit root of
+        # (lam-1) w^2 + (1+lam+z) w - z = 0, whose coefficients are real there
+        lam, z = 1.999, -0.999
+        sol = solve_resolvent(single_atom, lam, z)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            a, b, c = Decimal(lam) - 1, 1 + Decimal(lam) + Decimal(z), -Decimal(z)
+            root = (-b + (b * b - 4 * a * c).sqrt()) / (2 * a)
+            assert abs(root) < 1
+            error = abs(Decimal(sol.w.real) - root)
+        assert sol.w.imag == 0.0
+        assert error <= Decimal("1e-12")
 
     def test_quarter_floor_closed_form(self, quarter_floor_atom):
         # for q=1, a=1/4 the lambda=2 resolvent equation collapses to w (3/(1-w)) = z
@@ -148,20 +166,20 @@ class TestSolutionContract:
     def test_iteration_budget_exhaustion(self, single_atom, monkeypatch):
         from resolvent_lab import NonConvergenceError
 
-        # z = -0.95 takes more than one round, so a budget of one always raises
-        assert solve_resolvent(single_atom, 1.0, -0.95).iterations > 1
+        # z = -0.95 at lambda = 2 takes more than one round, so a budget of one always raises
+        assert solve_resolvent(single_atom, 2.0, -0.95).iterations > 1
         monkeypatch.setattr(resolvent, "MAX_ITER", 1)
         with pytest.raises(NonConvergenceError) as info:
-            solve_resolvent(single_atom, 1.0, -0.95)
+            solve_resolvent(single_atom, 2.0, -0.95)
         assert info.value.residual > DEFAULT_TOL
         assert info.value.iterations == 1
 
     def test_lambda_array_matches_one_call_per_lambda(self, single_atom, random_specs):
-        # z = 0.999 on an atom direction at lambda = 0.02 converges last, after
+        # z = 0.999 on an atom direction at lambda = 0.01 converges last, after
         # the working set has shrunk around it (most points take 2-4 rounds)
         rng = np.random.default_rng(5)
         zs = disk_points(rng, 24, 0.95)
-        lams = np.array([0.02, 0.05, 0.7, 2.0, 13.0])
+        lams = np.array([0.01, 0.05, 0.7, 2.0, 13.0])
         for spec in [single_atom] + random_specs[:4]:
             slow = 0.999 * np.exp(1j * spec.atoms[0][0])
             pts = np.append(zs, slow)
@@ -229,6 +247,49 @@ class TestSolutionContract:
         zs = np.array([-0.999 + 0j])
         sol = solve_resolvent_grid(single_atom, 2.1867, zs)
         assert sol.w[0] == pytest.approx(quadratic_oracle(2.1867, -0.999 + 0j), abs=1e-10)
+
+
+def start(spec, lam, z):
+    """The solver's starting point: the w of ``_solve_core`` run with ``max_iter=0``."""
+    z = np.asarray(z, dtype=complex)
+    return _solve_core(spec, np.full(z.shape, lam, dtype=complex), z, DEFAULT_TOL, 0)[0]
+
+
+class TestStart:
+    def test_start_is_third_order(self, random_specs):
+        # the start misses G(z) by O(|z|^4): the ratio stays put from |z| = 1e-2 to 1e-3, where a
+        # third-order start would grow it tenfold
+        rng = np.random.default_rng(14)
+        for spec in random_specs[:12]:
+            lam = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
+            directions = np.exp(1j * rng.uniform(0.0, 2 * np.pi, 8))
+            ratios = []
+            for r in (1e-2, 1e-3):
+                zs = r * directions
+                lams = np.full(zs.shape, lam, dtype=complex)
+                root = _solve_core(spec, lams, zs, 0.0, 8)[0]  # Newton run to rounding level
+                ratios.append(np.max(np.abs(start(spec, lam, zs) - root)) / r**4)
+            assert ratios[1] <= 2.0 * ratios[0] + 1e-6
+
+    def test_moebius_start_is_exact(self, single_atom):
+        # q = 1, a = 0, lambda = 1: G(z) = z / (2 + z) is the start itself, so no round runs
+        zs = np.array([0.5, -0.999, 0.999j, 0.3 - 0.9j, 0.0])
+        assert np.max(np.abs(start(single_atom, 1.0, zs) - zs / (2 + zs))) <= 1e-15
+        assert np.all(solve_resolvent_grid(single_atom, 1.0, zs).iterations == 0)
+
+    def test_start_falls_back_to_first_order_term(self, single_atom):
+        # a start outside the trust disk |w| <= |z| + 1e-12, or not finite (lambda p1 overflows at
+        # lambda = 1e308), is replaced by w0 = z / (1 + lambda q), without a warning
+        for lam, z in ((0.1, 0.999j), (1e308, 0.5)):
+            zs = np.array([z], dtype=complex)
+            w0 = zs / (1.0 + np.array([lam], dtype=complex) * single_atom.q)
+            with np.errstate(all="ignore"):
+                u = lam * 2.0 / (1.0 + lam)  # p1 = p2 = 2 for the single atom
+                pade = w0 / (1.0 + u * w0 + (u - u * u) * w0 * w0)
+            assert not abs(pade[0]) <= abs(z) + 1e-12
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert start(single_atom, lam, zs)[0] == w0[0]
 
 
 def rotated(spec, phi):
@@ -313,24 +374,26 @@ class TestIteration:
 # first two) or an escape from Newton pinned against the trust disk (the last three).  The trust-disk
 # cap is the one guard left.  Each row is (seed, lambda, z, iterations) followed by the bits of w.real,
 # w.imag and the residual, first of a one-point solve and then of the point solved beside z = 0: a
-# one-row kernel sum rounds in another order than a taller one (``_p_and_dp``).
+# one-row kernel sum rounds in another order than a taller one (``_p_and_dp``).  A change that moves
+# them on purpose prints the rows with `PYTHONPATH=src python tests/test_resolvent.py` and lists the
+# differences.
 TRAP_CONFIG = SampleConfig(max_atoms=12, a_range=(0, 1), scale_range=(0, 5), gamma_range=(-5, 5))
 TRAPS = [
-    (1027092122, 0.00031622776601683794, -0.9912390919507762 - 0.13207975086515175j, 9,
-     ("-0x1.fae9db570ac21p-1", "-0x1.0ea9a027bffdap-3", "0x1.07e0f66afed07p-53"),
-     ("-0x1.fae9db570ac21p-1", "-0x1.0ea9a027bffdap-3", "0x1.07e0f66afed07p-53")),
-    (773143981, 0.00017782794100389227, 0.9466802030329242 + 0.3221747835966395j, 10,
-     ("0x1.e3b266870d4ccp-1", "0x1.4992625dc15e6p-2", "0x1.2a43b4038e69dp-42"),
-     ("0x1.e3b266870d4ccp-1", "0x1.4992625dc15e6p-2", "0x1.2a43b4038e69dp-42")),
-    (524763160, 0.01, -0.9740692837433619 - 0.22620572620447538j, 9,
-     ("-0x1.b8f604fb39c22p-1", "-0x1.8dd62995669b7p-3", "0x1.63a91a288bd30p-42"),
-     ("-0x1.b8f604fb39c22p-1", "-0x1.8dd62995669b7p-3", "0x1.63a91a288bd30p-42")),
-    (747044679, 0.0017782794100389228, 0.5526360056363099 + 0.8334107302970994j, 25,
-     ("0x1.0f2300e8386e0p-1", "0x1.9115bb3b92baep-1", "0x1.083cd93ae2f0ep-40"),
-     ("0x1.0f2300e8386e0p-1", "0x1.9115bb3b92baep-1", "0x1.083cd93ae2f0ep-40")),
-    (847032073, 0.001, -0.7680607204356409 - 0.6403614056326977j, 10,
-     ("-0x1.7eea28efa8ab6p-1", "-0x1.403a863efd663p-1", "0x1.0000000000000p-53"),
-     ("-0x1.7eea28efa8ab6p-1", "-0x1.403a863efd663p-1", "0x1.0000000000000p-53")),
+    (1027092122, 0.00031622776601683794, -0.9912390919507762 - 0.13207975086515175j, 12,
+     ("-0x1.fae9db570ac1fp-1", "-0x1.0ea9a027bffdbp-3", "0x1.8154be2773525p-52"),
+     ("-0x1.fae9db570ac1fp-1", "-0x1.0ea9a027bffdbp-3", "0x1.8154be2773525p-52")),
+    (773143981, 0.00017782794100389227, 0.9466802030329242 + 0.3221747835966395j, 14,
+     ("0x1.e3b266870d1eap-1", "0x1.4992625dc1d5fp-2", "0x1.07e0f66afed07p-52"),
+     ("0x1.e3b266870d1eap-1", "0x1.4992625dc1d5fp-2", "0x1.07e0f66afed07p-52")),
+    (524763160, 0.01, -0.9740692837433619 - 0.22620572620447538j, 4,
+     ("-0x1.b8f604fb39e93p-1", "-0x1.8dd629956335dp-3", "0x1.8154be2773526p-52"),
+     ("-0x1.b8f604fb39e93p-1", "-0x1.8dd629956335dp-3", "0x1.6a09e667f3bcdp-52")),
+    (747044679, 0.0017782794100389228, 0.5526360056363099 + 0.8334107302970994j, 7,
+     ("0x1.0f2300e839f9ap-1", "0x1.9115bb3b90366p-1", "0x1.4f86ddf9744d0p-44"),
+     ("0x1.0f2300e839f9ap-1", "0x1.9115bb3b90366p-1", "0x1.4f86ddf9744d0p-44")),
+    (847032073, 0.001, -0.7680607204356409 - 0.6403614056326977j, 9,
+     ("-0x1.7eea28efa8581p-1", "-0x1.403a863efc766p-1", "0x1.3ba3028532884p-42"),
+     ("-0x1.7eea28efa8581p-1", "-0x1.403a863efc766p-1", "0x1.3bd26c82c2d5ap-42")),
 ]
 HUNT_SEED = 3
 HUNT_LAMBDAS = np.geomspace(1e-4, 1e4, 33)
@@ -390,3 +453,16 @@ class TestGuards:
         # the start, then one call a round on the working set, which is never cut to a lone point
         assert len(rows) == 1 + iterations
         assert min(rows) >= 2
+
+
+if __name__ == "__main__":
+    # print TRAPS at the current solver, in its layout, with `PYTHONPATH=src python tests/test_resolvent.py`
+    print("TRAPS = [")
+    for seed, lam, z, *_ in TRAPS:
+        spec = sample_generator(seed, TRAP_CONFIG)
+        one = solve_resolvent(spec, lam, z)
+        pair = solve_resolvent_grid(spec, lam, [z, 0.0])
+        print(f"    ({seed}, {lam!r}, {z.real!r} {'-' if z.imag < 0 else '+'} {abs(z.imag)!r}j, {one.iterations},")
+        print(f"     {bits(one.w, one.residual)!r},".replace("'", '"'))
+        print(f"     {bits(pair.w[0], pair.residual[0])!r}),".replace("'", '"'))
+    print("]")

@@ -18,7 +18,7 @@ EXPECTED = {
     "ConfigError": None,
     "DomainError": None,
     "GeneratorSpec": "(atoms, a=0.0, scale=1.0, gamma=0.0)",
-    "GridSolution": "(w, g, residual, iterations, Q)",
+    "GridSolution": "(w, g, residual, iterations, Q, p)",
     "IntegrationError": "(message, trajectory=None)",
     "NonConvergenceError": "(message, w=None, residual=None, iterations=None, z=None, lam=None)",
     "OrderCertificate": "(order, condition)",

@@ -80,6 +80,22 @@ def test_default_thresholds_report(kind, control):
     assert stable(report) == GOLDEN[f"default/{kind}/thresholds"]
 
 
+def test_sweep_solver_work(monkeypatch):
+    # point-iterations of the seven sweep suites at SMALL: 42 094 when every solve started from
+    # z / (1 + lambda q), 29 208 from the third-order start; a start that loses the saving fails here
+    solve, counts = verify.solve_resolvent_grid, []
+
+    def counting(spec, lam, z):
+        sol = solve(spec, lam, z)
+        counts.append(int(sol.iterations.sum()))
+        return sol
+
+    monkeypatch.setattr(verify, "solve_resolvent_grid", counting)
+    for name in verify._SWEEPS:
+        run_suite(name, SMALL, seed=SMALL_SEED)
+    assert sum(counts) <= 29_208
+
+
 def test_unknown_suite():
     with pytest.raises(ConfigError):
         run_suite("no_such_suite", SMALL, seed=1)
