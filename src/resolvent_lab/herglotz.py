@@ -108,14 +108,20 @@ def _atom_arrays(spec: GeneratorSpec):
 
 
 @lru_cache(maxsize=4096)
+def _atom_terms(spec: GeneratorSpec):
+    """The folded constants of _p_and_dp: p(inf) = a - scale + i gamma, and per atom
+    (-conj(zeta_k), a_k, b_k) with a_k = 2 scale m_k and b_k = 2 scale m_k conj(zeta_k)."""
+    weights, conj_zetas, weighted = _atom_arrays(spec)
+    two_scale = 2.0 * spec.scale
+    terms = zip((-conj_zetas).tolist(), (two_scale * weights).tolist(), (two_scale * weighted).tolist())
+    return complex(spec.a - spec.scale, spec.gamma), tuple(terms)
+
+
+@lru_cache(maxsize=4096)
 def _p_series(spec: GeneratorSpec):
     """(p1, p2), the z and z^2 Taylor coefficients of p at 0: 2 scale sum_k m_k conj(zeta_k)^j."""
     _, conj_zetas, weighted = _atom_arrays(spec)
     return complex(2.0 * spec.scale * weighted.sum()), complex(2.0 * spec.scale * (weighted * conj_zetas).sum())
-
-# Point-atom pairs per kernel block: at most 64 KiB per complex temporary,
-# half of glibc malloc's default mmap threshold (see _p_and_dp).
-_BLOCK = 4096
 
 
 def _p_and_dp(spec: GeneratorSpec, z: np.ndarray):
@@ -125,47 +131,38 @@ def _p_and_dp(spec: GeneratorSpec, z: np.ndarray):
     applies because iterates can drift arbitrarily close to an atom
     direction when |z| itself is close to 1.
 
-    More than ``_BLOCK`` point-atom pairs are evaluated in blocks of points.
-    One (points x atoms) array for 2048 points of a 4-atom generator would
-    already be 128 KiB.  Whether glibc serves such an array from the heap
-    or from fresh mmap pages depends on what the process allocated and
-    freed before (the mmap threshold moves), so the same grid solves took
-    anywhere from about a hundred to 90 000 minor page faults.  Blocks stay
-    under the threshold whatever came before.  Each point's sums run over
-    the same atoms in the same order in every block of two or more points,
-    so the blocks give the same bits as one evaluation.
+    Since (1 + x)/(1 - x) = 2/(1 - x) - 1, the sums are taken atom by atom,
+    in the spec's atom order, on 1-D arrays of the points:
+
+        inv_k = 1 / (1 + z (-conj(zeta_k))),
+        p     = p(inf) + a_1 inv_1 + a_2 inv_2 + ...,
+        p'    = b_1 inv_1^2 + b_2 inv_2^2 + ...,
+
+    with the constants of ``_atom_terms``.  Every operation is elementwise
+    and out-of-place, so a point's p and p' have the same bits in every
+    call, whatever the size of the call or the point's place in it: numpy
+    rounds in-place operations, and a matrix product over a (points x
+    atoms) array, differently on a lone point than on a longer array.  The
+    temporaries are 1-D and as large as the input, the size of the solver's
+    own arrays, so there are no blocks to keep a (points x atoms) array
+    below malloc's mmap threshold.
     """
-    const = complex(spec.a, spec.gamma)
-    if spec.scale == 0.0:
-        p = np.full(np.shape(z), const, dtype=complex)
-        dp = np.zeros(np.shape(z), dtype=complex)
-        return p, dp
-    weights, conj_zetas, weighted = _atom_arrays(spec)
     z = np.asarray(z)
-    near_rim = z.size > 0 and np.max(np.abs(z)) > 1.0 - 1e-13
-    step = max(2, _BLOCK // conj_zetas.size)
-    if z.size <= step:
-        return _kernel(spec, weights, conj_zetas, weighted, const, z, near_rim)
+    if spec.scale == 0.0:
+        p = np.full(z.shape, complex(spec.a, spec.gamma))
+        return p, np.zeros(z.shape, dtype=complex)
+    p_inf, terms = _atom_terms(spec)
     flat = z.reshape(-1)
-    p = np.empty(flat.shape, dtype=complex)
-    dp = np.empty(flat.shape, dtype=complex)
-    # numpy sums a one-row matrix product in another order than a taller
-    # one, so the last block takes a lone trailing point with it.
-    edges = [*range(0, flat.size - 1, step), flat.size]
-    for lo, hi in zip(edges, edges[1:]):
-        p[lo:hi], dp[lo:hi] = _kernel(spec, weights, conj_zetas, weighted, const, flat[lo:hi], near_rim)
+    near_rim = flat.size > 0 and np.max(np.abs(flat)) > 1.0 - 1e-13
+    p, dp = p_inf, 0.0
+    for neg_conj_zeta, a_k, b_k in terms:
+        denom = 1.0 + flat * neg_conj_zeta
+        if near_rim and np.min(np.abs(denom)) < POLE_GUARD:
+            raise DomainError("evaluation point is numerically on a kernel pole")
+        inv = 1.0 / denom
+        p = p + a_k * inv
+        dp = dp + b_k * (inv * inv)
     return p.reshape(z.shape), dp.reshape(z.shape)
-
-
-def _kernel(spec, weights, conj_zetas, weighted, const, z, near_rim):
-    """One block of _p_and_dp: (points x atoms) kernel sums for p and p'."""
-    denom = 1.0 - np.multiply.outer(z, conj_zetas)
-    if near_rim and np.min(np.abs(denom)) < POLE_GUARD:
-        raise DomainError("evaluation point is numerically on a kernel pole")
-    inv = 1.0 / denom
-    p = spec.scale * (2.0 * inv @ weights - 1.0) + const
-    dp = 2.0 * spec.scale * (inv * inv) @ weighted
-    return p, dp
 
 def eval_p(spec: GeneratorSpec, z):
     """Evaluate p(z) for a scalar or ndarray of points with |z| < 1.

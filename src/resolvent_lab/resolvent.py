@@ -51,12 +51,12 @@ points are written out and the arrays are cut down to the running ones.
 A round makes one kernel call, on the whole working set: gathering the
 running points every round would cost more in fancy indexing than it
 saves (a solver that did so gave the same bits but raised the
-benchmark's ``grid`` median operation from 3.80 to 4.94 ms).  A lone
-point's kernel sum numpy rounds in another order than a taller one's, so
-a working set is never cut to one point, unless the whole call is one
-point; so a point's bits do not depend on the other points of the call,
-and one call over a whole lambda grid gives the bits of one call per
-lambda.
+benchmark's ``grid`` median operation from 3.80 to 4.94 ms).  The kernel
+gives a point's p and p' the same bits in any call (``_p_and_dp``), and
+every other step is elementwise, so a point's bits depend only on
+(spec, lambda, z): not on the other points of the call, nor on when the
+working set is cut.  One call over a whole lambda grid gives the bits of
+one call per lambda.
 """
 
 from __future__ import annotations
@@ -114,16 +114,16 @@ def _solve_core(spec, lam, z, tol, max_iter):
     (``_p_series``).  ``max_iter=0`` returns the start.
 
     A round updates only the active points (|F| > tol).  Once at most half
-    of the working set is active, and at least two points are, every
-    per-point array is cut down to the active ones; never to a lone point,
-    whose one-row kernel sum numpy rounds in another order (``_p_and_dp``).
-    Each active point takes its Newton candidate if that is finite and in
-    the trust disk, and the fixed-point step otherwise (a division on
-    those points alone); one ``_p_and_dp`` call on the working set then
-    gives p and p' at the new points, and den = 1 + lambda p and
-    F = w den - z from them serve both the residual test and the next
-    round's step.  F' = H'(w) of a univalent H does not vanish; a step that
-    is not finite all the same fails the trust-disk test.
+    of the working set is active, every per-point array is cut down to the
+    active ones, however few.  A finished point keeps its w, so the round's
+    kernel call gives it the same p, p' and |F| again.  Each active point
+    takes its Newton candidate if that is finite and in the trust disk, and
+    the fixed-point step otherwise (a division on those points alone); one
+    ``_p_and_dp`` call on the working set then gives p and p' at the new
+    points, and den = 1 + lambda p and F = w den - z from them serve both
+    the residual test and the next round's step.  F' = H'(w) of a univalent
+    H does not vanish; a step that is not finite all the same fails the
+    trust-disk test.
     """
     out = None  # the full-size w, p, p', |F| and iterations, from the first cut on
     idx = np.arange(z.size)
@@ -132,7 +132,8 @@ def _solve_core(spec, lam, z, tol, max_iter):
     D = 1.0 + lam * spec.q
     w = z / D
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        u, v = lam * p1 / D, lam * p2 / D
+        r = lam / D
+        u, v = r * p1, r * p2
         pade = w / (1.0 + (u + (v - u * u) * w) * w)
         w = np.where(np.abs(pade) <= cap, pade, w)
     pw, dpw = _p_and_dp(spec, w)
@@ -146,7 +147,7 @@ def _solve_core(spec, lam, z, tol, max_iter):
         n_active = np.count_nonzero(active)
         if n_active == 0:
             break
-        if 2 <= n_active <= z.size // 2:
+        if n_active <= z.size // 2:
             if out is None:  # the full-size arrays already hold every finished point
                 out = w, pw, dpw, aF, iters
             else:
@@ -168,7 +169,7 @@ def _solve_core(spec, lam, z, tol, max_iter):
         pw, dpw = _p_and_dp(spec, w)
         den = 1.0 + lam * pw
         F = w * den - z
-        aF = np.where(active, np.abs(F), aF)
+        aF = np.abs(F)
 
     if out is None:
         return w, pw, dpw, aF, iters
@@ -205,7 +206,7 @@ def solve_resolvent_grid(spec: GeneratorSpec, lam, z) -> GridSolution:
             lam=lam_worst,
         )
     den = 1.0 + lam * pw
-    Q = np.where(flat == 0.0, 1.0 + 0.0j, 1.0 + lam * dpw * w / den)
+    Q = 1.0 + lam * dpw * w / den  # w = 0, so Q = 1, at z = 0
     shape = arr.shape
     return GridSolution(
         w=w.reshape(shape),

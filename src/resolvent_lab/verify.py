@@ -411,12 +411,11 @@ def _suite_herglotz_equiv(cfg: SuiteConfig, seed: int):
     col = _Collector(1e-10)
     factor = 0.99 if cfg.negative_control else 1.0
     radii = np.geomspace(0.1, _R_MAX, 2 * cfg.n_radii)
+    ang = 2.0 * np.pi * np.arange(cfg.n_angles) / cfg.n_angles
+    # one ring per radius: the angles, then the real points r and -r
+    rings = np.concatenate([radii[:, None] * np.exp(1j * ang), radii[:, None] * [1.0 + 0.0j, -1.0 + 0.0j]], axis=1)
     for spec in specs:
-        for r in radii:
-            ang = 2.0 * np.pi * np.arange(cfg.n_angles) / cfg.n_angles
-            zs = r * np.exp(1j * ang)
-            zs = np.concatenate([zs, [r + 0.0j, -r + 0.0j]])
-            p = eval_p(spec, zs)
+        for r, zs, p in zip(radii, rings, eval_p(spec, rings)):
             center, radius = value_disk(spec, float(r))
             lo, hi = harnack_bounds(spec, float(r))
             tol = 1e-10 * max(1.0, abs(center) + radius)

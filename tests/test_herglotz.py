@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from resolvent_lab import (
     spec_to_dict,
     value_disk,
 )
-from resolvent_lab.herglotz import _p_and_dp
+from resolvent_lab.herglotz import _atom_terms, _p_and_dp
 from conftest import disk_points
 
 
@@ -69,34 +70,84 @@ class TestEvalP:
         assert eval_p(spec, 1.0 - 1e-15) == pytest.approx(complex(0.5, 0.1))
 
 
-class TestKernelBlocks:
-    """Large inputs are evaluated in blocks of points; the bits must not change."""
+def kernel_specs():
+    """Generators with 1, 2, 3, 6, 9 and 50 atoms."""
+    rng = np.random.default_rng(43)
+    return [
+        GeneratorSpec(atoms=tuple(zip(rng.uniform(0, 2 * np.pi, n), rng.uniform(0.05, 1.0, n))),
+                      a=rng.uniform(0, 1), scale=rng.uniform(0.1, 2), gamma=rng.uniform(-1, 1))
+        for n in (1, 2, 3, 6, 9, 50)
+    ]
 
-    SPEC = GeneratorSpec(
-        atoms=tuple((0.7 * k + 0.1, 1.0 + 0.3 * k) for k in range(8)), a=0.2, scale=1.3, gamma=-0.4
-    )
 
-    def test_blocks_match_slices(self):
-        rng = np.random.default_rng(41)
-        z = np.sqrt(rng.uniform(0.0, 0.999**2, 3000)) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 3000))
-        p, dp = _p_and_dp(self.SPEC, z)
-        sliced = [_p_and_dp(self.SPEC, z[k : k + 100]) for k in range(0, z.size, 100)]
-        assert np.array_equal(p, np.concatenate([s[0] for s in sliced]))
-        assert np.array_equal(dp, np.concatenate([s[1] for s in sliced]))
-        # one point past a whole number of blocks, and a 2-D input
-        for zz in (z[:513], z.reshape(30, 100)):
-            pb, dpb = _p_and_dp(self.SPEC, zz)
-            assert np.array_equal(pb, p[: zz.size].reshape(zz.shape))
-            assert np.array_equal(dpb, dp[: zz.size].reshape(zz.shape))
+def exact_p_and_dp(spec, z):
+    """p(z) and p'(z) from the float constants of ``_atom_terms``, summed exactly in Fractions as
+    (real, imag) pairs, with |p(inf)| + sum |a_k / d_k| and sum |b_k / d_k^2|, the sizes of their terms."""
+    p_inf, terms = _atom_terms(spec)
+    zr, zi = Fraction(z.real), Fraction(z.imag)
+    p = [Fraction(p_inf.real), Fraction(p_inf.imag)]
+    dp = [Fraction(0), Fraction(0)]
+    size_p, size_dp = abs(p_inf), 0.0
+    for c, a_k, b_k in terms:
+        cr, ci, br, bi = Fraction(c.real), Fraction(c.imag), Fraction(b_k.real), Fraction(b_k.imag)
+        dr, di = 1 + zr * cr - zi * ci, zr * ci + zi * cr  # d = 1 + z c
+        norm = dr * dr + di * di
+        ir, ii = dr / norm, -di / norm  # 1 / d
+        sr, si = ir * ir - ii * ii, 2 * ir * ii  # 1 / d^2
+        p = [p[0] + Fraction(a_k) * ir, p[1] + Fraction(a_k) * ii]
+        dp = [dp[0] + br * sr - bi * si, dp[1] + br * si + bi * sr]
+        size_p += a_k / math.sqrt(norm)
+        size_dp += abs(b_k) / float(norm)
+    return p, dp, size_p, size_dp
 
-    def test_pole_guard_in_any_block(self):
-        theta = self.SPEC.atoms[3][0]
+
+def exact_error(value, exact):
+    return math.hypot(Fraction(value.real) - exact[0], Fraction(value.imag) - exact[1])
+
+
+class TestKernelContract:
+    """p and p' are summed atom by atom: a point's bits depend only on the point, and on no other point."""
+
+    def test_bits_do_not_depend_on_the_call(self):
+        z = disk_points(np.random.default_rng(41), 701, 0.999)
+        for spec in kernel_specs():
+            p, dp = _p_and_dp(spec, z)
+            for size in (1, 2, 3, 17):
+                got = [_p_and_dp(spec, z[k : k + size]) for k in range(0, z.size, size)]
+                assert np.array_equal(np.concatenate([g[0] for g in got]), p)
+                assert np.array_equal(np.concatenate([g[1] for g in got]), dp)
+            for shift in (1, 3):
+                ps, dps = _p_and_dp(spec, z[shift:])
+                assert np.array_equal(ps, p[shift:]) and np.array_equal(dps, dp[shift:])
+            p2, dp2 = _p_and_dp(spec, z[:700].reshape(7, 100))
+            assert np.array_equal(p2, p[:700].reshape(7, 100)) and np.array_equal(dp2, dp[:700].reshape(7, 100))
+            for k in (0, 350, 700):
+                assert eval_p(spec, np.asarray(z[k])) == p[k]
+
+    def test_matches_exact_sums(self):
+        # each sum of n terms and p(inf) is within 8 (n + 2) eps of the sum of the terms' moduli (the
+        # sizes).  The bound counts rounding relative to each term; beside an atom, where |d_k| is small,
+        # the rounding of d_k itself is relatively larger, by about 1 / |d_k|, and the bound does not hold.
+        eps = np.finfo(float).eps
+        z = disk_points(np.random.default_rng(42), 64, 0.999)
+        for spec in kernel_specs():
+            p, dp = _p_and_dp(spec, z)
+            bound = 8 * (spec.n_atoms + 2) * eps
+            for k in range(z.size):
+                exact_p, exact_dp, size_p, size_dp = exact_p_and_dp(spec, complex(z[k]))
+                assert exact_error(p[k], exact_p) <= bound * size_p
+                assert exact_error(dp[k], exact_dp) <= bound * size_dp
+
+    def test_pole_guard_at_an_atom(self):
+        # past |z| = 1 - 1e-13 the guard checks every denominator, alone or among other points
+        spec = kernel_specs()[3]
+        theta = spec.atoms[4][0]
         z = 0.5 * np.exp(1j * np.linspace(0.0, 2 * np.pi, 3000))
-        z[2500] = np.exp(1j * theta)
-        with pytest.raises(DomainError):
-            _p_and_dp(self.SPEC, z)
-        with pytest.raises(DomainError):
-            _p_and_dp(self.SPEC, z[2500:2600])
+        for on_atom in (np.exp(1j * theta), (1 - 1e-15) * np.exp(1j * theta)):
+            z[2500] = on_atom
+            for zz in (z, z[2500:2600], z[2500:2501]):
+                with pytest.raises(DomainError):
+                    _p_and_dp(spec, zz)
 
 
 def p_prime(spec, z) -> complex:

@@ -191,11 +191,11 @@ class TestSolutionContract:
                 assert np.array_equal(sol.w[i], one.w)
                 assert np.array_equal(sol.Q[i], one.Q)
                 assert np.array_equal(sol.iterations[i], one.iterations)
-            # the last point running keeps a finished one beside it, so it
-            # has the bits of a two-point call (a one-row kernel sum may not)
-            pair = solve_resolvent_grid(spec, lams[0], [slow, zs[0]])
-            assert pair.w[0] == sol.w[0, -1] and pair.Q[0] == sol.Q[0, -1]
-            assert pair.iterations[0] == sol.iterations[0, -1]
+            # the last point running has the bits of a one-point and of a two-point call
+            for few in ([slow], [slow, zs[0]]):
+                alone = solve_resolvent_grid(spec, lams[0], few)
+                assert alone.w[0] == sol.w[0, -1] and alone.Q[0] == sol.Q[0, -1]
+                assert alone.iterations[0] == sol.iterations[0, -1]
         # on the single atom it is the one point still running in its last round
         sol = solve_resolvent_grid(single_atom, lams[:, None], np.append(zs, 0.999)[None, :])
         assert np.count_nonzero(sol.iterations == sol.iterations.max()) == 1
@@ -373,27 +373,21 @@ class TestIteration:
 # zero just outside the disk.  Each once needed a solver guard that is gone: Newton step halving (the
 # first two) or an escape from Newton pinned against the trust disk (the last three).  The trust-disk
 # cap is the one guard left.  Each row is (seed, lambda, z, iterations) followed by the bits of w.real,
-# w.imag and the residual, first of a one-point solve and then of the point solved beside z = 0: a
-# one-row kernel sum rounds in another order than a taller one (``_p_and_dp``).  A change that moves
+# w.imag and the residual, which a point keeps in any call (``test_trap_bits``).  A change that moves
 # them on purpose prints the rows with `PYTHONPATH=src python tests/test_resolvent.py` and lists the
 # differences.
 TRAP_CONFIG = SampleConfig(max_atoms=12, a_range=(0, 1), scale_range=(0, 5), gamma_range=(-5, 5))
 TRAPS = [
     (1027092122, 0.00031622776601683794, -0.9912390919507762 - 0.13207975086515175j, 12,
-     ("-0x1.fae9db570ac1fp-1", "-0x1.0ea9a027bffdbp-3", "0x1.8154be2773525p-52"),
      ("-0x1.fae9db570ac1fp-1", "-0x1.0ea9a027bffdbp-3", "0x1.8154be2773525p-52")),
     (773143981, 0.00017782794100389227, 0.9466802030329242 + 0.3221747835966395j, 14,
-     ("0x1.e3b266870d1eap-1", "0x1.4992625dc1d5fp-2", "0x1.07e0f66afed07p-52"),
      ("0x1.e3b266870d1eap-1", "0x1.4992625dc1d5fp-2", "0x1.07e0f66afed07p-52")),
     (524763160, 0.01, -0.9740692837433619 - 0.22620572620447538j, 4,
-     ("-0x1.b8f604fb39e93p-1", "-0x1.8dd629956335dp-3", "0x1.8154be2773526p-52"),
      ("-0x1.b8f604fb39e93p-1", "-0x1.8dd629956335dp-3", "0x1.6a09e667f3bcdp-52")),
     (747044679, 0.0017782794100389228, 0.5526360056363099 + 0.8334107302970994j, 7,
-     ("0x1.0f2300e839f9ap-1", "0x1.9115bb3b90366p-1", "0x1.4f86ddf9744d0p-44"),
-     ("0x1.0f2300e839f9ap-1", "0x1.9115bb3b90366p-1", "0x1.4f86ddf9744d0p-44")),
+     ("0x1.0f2300e839f98p-1", "0x1.9115bb3b90366p-1", "0x1.4f86ddf9744d0p-44")),
     (847032073, 0.001, -0.7680607204356409 - 0.6403614056326977j, 9,
-     ("-0x1.7eea28efa8581p-1", "-0x1.403a863efc766p-1", "0x1.3ba3028532884p-42"),
-     ("-0x1.7eea28efa8581p-1", "-0x1.403a863efc766p-1", "0x1.3bd26c82c2d5ap-42")),
+     ("-0x1.7eea28efa8581p-1", "-0x1.403a863efc766p-1", "0x1.3ba3028532884p-42")),
 ]
 HUNT_SEED = 3
 HUNT_LAMBDAS = np.geomspace(1e-4, 1e4, 33)
@@ -418,14 +412,22 @@ def bits(w, residual):
     return float(w.real).hex(), float(w.imag).hex(), float(residual).hex()
 
 
+def interior_points():
+    """1023 interior points, which finish in a few Newton steps."""
+    return disk_points(np.random.default_rng(0), 1023, 0.9)
+
+
 class TestGuards:
-    @pytest.mark.parametrize("seed, lam, z, iterations, one, pair", TRAPS)
-    def test_trap_bits(self, seed, lam, z, iterations, one, pair):
+    @pytest.mark.parametrize("seed, lam, z, iterations, trap_bits", TRAPS)
+    def test_trap_bits(self, seed, lam, z, iterations, trap_bits):
+        # a point's bits depend only on (spec, lambda, z): alone, beside z = 0 and among 1023 other points
         spec = sample_generator(seed, TRAP_CONFIG)
         sol = solve_resolvent(spec, lam, z)
-        assert (bits(sol.w, sol.residual), sol.iterations) == (one, iterations)
+        assert (bits(sol.w, sol.residual), sol.iterations) == (trap_bits, iterations)
         sol = solve_resolvent_grid(spec, lam, [z, 0.0])
-        assert (bits(sol.w[0], sol.residual[0]), sol.iterations[0]) == (pair, iterations)
+        assert (bits(sol.w[0], sol.residual[0]), sol.iterations[0]) == (trap_bits, iterations)
+        sol = solve_resolvent_grid(spec, lam, np.insert(interior_points(), 517, z))
+        assert (bits(sol.w[517], sol.residual[517]), sol.iterations[517]) == (trap_bits, iterations)
 
     def test_trap_generators_over_the_hunt(self):
         # every point of a trap generator's hunt converges to the root inside the disk
@@ -437,10 +439,10 @@ class TestGuards:
             assert np.all(np.abs(sol.w) <= np.abs(zs) + 1e-12)
 
     def test_one_kernel_call_a_round(self, monkeypatch):
-        # a trap point among 1023 interior points, which finish in a few Newton steps
-        seed, lam, z, iterations = TRAPS[0][:4]
+        # the first trap point among the interior points
+        seed, lam, z, iterations, trap_bits = TRAPS[0]
         spec = sample_generator(seed, TRAP_CONFIG)
-        zs = np.append(z, disk_points(np.random.default_rng(0), 1023, 0.9))
+        zs = np.append(z, interior_points())
         rows = []
 
         def recording(spec, w):
@@ -450,19 +452,17 @@ class TestGuards:
         monkeypatch.setattr(resolvent, "_p_and_dp", recording)
         sol = solve_resolvent_grid(spec, lam, zs)
         assert sol.iterations[0] == sol.iterations.max() == iterations
-        # the start, then one call a round on the working set, which is never cut to a lone point
+        # the start, then one call a round on the working set, which is cut down to the trap point alone
         assert len(rows) == 1 + iterations
-        assert min(rows) >= 2
+        assert rows[-1] == 1
+        assert bits(sol.w[0], sol.residual[0]) == trap_bits
 
 
 if __name__ == "__main__":
     # print TRAPS at the current solver, in its layout, with `PYTHONPATH=src python tests/test_resolvent.py`
     print("TRAPS = [")
     for seed, lam, z, *_ in TRAPS:
-        spec = sample_generator(seed, TRAP_CONFIG)
-        one = solve_resolvent(spec, lam, z)
-        pair = solve_resolvent_grid(spec, lam, [z, 0.0])
-        print(f"    ({seed}, {lam!r}, {z.real!r} {'-' if z.imag < 0 else '+'} {abs(z.imag)!r}j, {one.iterations},")
-        print(f"     {bits(one.w, one.residual)!r},".replace("'", '"'))
-        print(f"     {bits(pair.w[0], pair.residual[0])!r}),".replace("'", '"'))
+        sol = solve_resolvent(sample_generator(seed, TRAP_CONFIG), lam, z)
+        print(f"    ({seed}, {lam!r}, {z.real!r} {'-' if z.imag < 0 else '+'} {abs(z.imag)!r}j, {sol.iterations},")
+        print(f"     {bits(sol.w, sol.residual)!r}),".replace("'", '"'))
     print("]")
