@@ -141,9 +141,25 @@ def est1_bound(q, lam):
 def composed_accretivity(q, a, lam):
     """Accretivity floor a_lambda = (1 - distortion)/lambda of f o G_lambda.
 
-    Zero exactly when the distortion bound is 1.
+    Zero exactly when a = 0 and lambda |q|^2 <= 2 Re q, where the distortion
+    bound d = sqrt(2 / S), S = A + sqrt(B), is 1.  As d -> 1 at small lambda,
+    1 - d cancels, so it is taken as (S - 2) / (S (1 + d)) with
+
+        (S - 2) / lambda = 4a + w + sqrt(w^2 + c),
+        w = lambda |q|^2 - 2 Re q,   c = 8 lambda a |q|^2,
+
+    and where w < 0, w + sqrt(w^2 + c) as c / (sqrt(w^2 + c) - w).  The
+    square root is hypot(w, sqrt(8 lambda a) |q|), which does not overflow.
     """
-    return _out((1.0 - distortion_bound(q, a, lam)) / _check_lambda(lam))
+    q, a, lam = _validate_qal(q, a, lam)
+    A, B = _ab(q, a, lam)
+    S = A + np.sqrt(B)
+    w = lam * _abs2(q) - 2.0 * q.real
+    s = np.sqrt(8.0 * lam * a) * np.hypot(q.real, q.imag)
+    root = np.hypot(w, s)
+    with np.errstate(invalid="ignore", divide="ignore"):  # the branch not taken divides by 0 where root = w
+        rest = np.where(w < 0.0, s * (s / (root - w)), w + root)
+    return _out((4.0 * a + rest) / (S * (1.0 + np.sqrt(2.0 / S))))
 
 
 def _g_floor(q, a, lam, tau) -> np.ndarray:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -88,6 +87,15 @@ class GeneratorSpec:
         if not (math.isfinite(p_max) and math.isfinite(dp_max)):
             raise ConfigError(f"p or p' can overflow in the disk: a + |gamma| + 2 scale / {POLE_GUARD:g} = "
                               f"{p_max:.3g} and 2 scale / {POLE_GUARD:g}^2 = {dp_max:.3g} must be finite")
+        # What every evaluation reads, fixed here (private, not fields): m_k, conj(zeta_k), p(inf) = a - scale +
+        # i gamma, per atom (-conj(zeta_k), a_k = 2 scale m_k, b_k = 2 scale m_k conj(zeta_k)) for _p_and_dp, and
+        # the solver's (p1, p2), the z and z^2 Taylor coefficients 2 scale sum_k m_k conj(zeta_k)^j of p at 0.
+        weights, conj_zetas = np.array([w for _, w in self.atoms]), np.exp(-1j * np.array([t for t, _ in self.atoms]))
+        weighted, two_scale = weights * conj_zetas, 2.0 * self.scale
+        terms = zip((-conj_zetas).tolist(), (two_scale * weights).tolist(), (two_scale * weighted).tolist())
+        p_series = complex(two_scale * weighted.sum()), complex(two_scale * (weighted * conj_zetas).sum())
+        self.__dict__.update(_weights=weights, _conj_zetas=conj_zetas, _p_inf=complex(self.a - self.scale, self.gamma),
+                             _terms=tuple(terms), _p_series=p_series)
 
     @property
     def q(self) -> complex:
@@ -97,32 +105,6 @@ class GeneratorSpec:
     @property
     def n_atoms(self) -> int:
         return len(self.atoms)
-
-@lru_cache(maxsize=4096)
-def _atom_arrays(spec: GeneratorSpec):
-    """The weights m_k, conj(zeta_k) and m_k conj(zeta_k) of a spec's atoms."""
-    thetas = np.array([t for t, _ in spec.atoms])
-    weights = np.array([w for _, w in spec.atoms])
-    conj_zetas = np.exp(-1j * thetas)
-    return weights, conj_zetas, weights * conj_zetas
-
-
-@lru_cache(maxsize=4096)
-def _atom_terms(spec: GeneratorSpec):
-    """The folded constants of _p_and_dp: p(inf) = a - scale + i gamma, and per atom
-    (-conj(zeta_k), a_k, b_k) with a_k = 2 scale m_k and b_k = 2 scale m_k conj(zeta_k)."""
-    weights, conj_zetas, weighted = _atom_arrays(spec)
-    two_scale = 2.0 * spec.scale
-    terms = zip((-conj_zetas).tolist(), (two_scale * weights).tolist(), (two_scale * weighted).tolist())
-    return complex(spec.a - spec.scale, spec.gamma), tuple(terms)
-
-
-@lru_cache(maxsize=4096)
-def _p_series(spec: GeneratorSpec):
-    """(p1, p2), the z and z^2 Taylor coefficients of p at 0: 2 scale sum_k m_k conj(zeta_k)^j."""
-    _, conj_zetas, weighted = _atom_arrays(spec)
-    return complex(2.0 * spec.scale * weighted.sum()), complex(2.0 * spec.scale * (weighted * conj_zetas).sum())
-
 
 def _p_and_dp(spec: GeneratorSpec, z: np.ndarray):
     """p(z) and p'(z) on points already inside the disk; shared denominators.
@@ -138,9 +120,10 @@ def _p_and_dp(spec: GeneratorSpec, z: np.ndarray):
         p     = p(inf) + a_1 inv_1 + a_2 inv_2 + ...,
         p'    = b_1 inv_1^2 + b_2 inv_2^2 + ...,
 
-    with the constants of ``_atom_terms``.  Every operation is elementwise
-    and out-of-place, so a point's p and p' have the same bits in every
-    call, whatever the size of the call or the point's place in it: numpy
+    with the constants that the spec fixes when it is built.  Every
+    operation is elementwise and out-of-place, so a point's p and p' have
+    the same bits in every call, whatever the size of the call or the
+    point's place in it: numpy
     rounds in-place operations, and a matrix product over a (points x
     atoms) array, differently on a lone point than on a longer array.  The
     temporaries are 1-D and as large as the input, the size of the solver's
@@ -151,11 +134,10 @@ def _p_and_dp(spec: GeneratorSpec, z: np.ndarray):
     if spec.scale == 0.0:
         p = np.full(z.shape, complex(spec.a, spec.gamma))
         return p, np.zeros(z.shape, dtype=complex)
-    p_inf, terms = _atom_terms(spec)
     flat = z.reshape(-1)
     near_rim = flat.size > 0 and np.max(np.abs(flat)) > 1.0 - 1e-13
-    p, dp = p_inf, 0.0
-    for neg_conj_zeta, a_k, b_k in terms:
+    p, dp = spec._p_inf, 0.0
+    for neg_conj_zeta, a_k, b_k in spec._terms:
         denom = 1.0 + flat * neg_conj_zeta
         if near_rim and np.min(np.abs(denom)) < POLE_GUARD:
             raise DomainError("evaluation point is numerically on a kernel pole")
@@ -174,34 +156,41 @@ def eval_p(spec: GeneratorSpec, z):
     p = _p_and_dp(spec, _check_points(z))[0]
     return complex(p[()]) if scalar else p
 
-def value_disk(spec: GeneratorSpec, r: float):
+def value_disk(spec: GeneratorSpec, r):
     """Closed disk |v - center| <= radius containing p(z) for every |z| = r.
 
     Returns (center, radius): center (q + r^2 conj(q) - 2 a r^2) / (1 - r^2),
     radius 2 r (Re q - a) / (1 - r^2).  For r = 0 this degenerates to {q};
-    for scale = 0 the radius vanishes at every r.
+    for scale = 0 the radius vanishes at every r.  An array of radii gives
+    the bits of the scalar calls: the center is divided part by part, as
+    Python does, since numpy rounds complex-by-real division otherwise.
     """
-    _check(0.0 <= r < 1.0, "radius must satisfy 0 <= r < 1, got {}", r)
-    q = spec.q
-    denom = 1.0 - r * r
-    center = (q + r * r * q.conjugate() - 2.0 * spec.a * r * r) / denom
+    r = np.asarray(r, dtype=float)
+    _check((0.0 <= r) & (r < 1.0), "radius must satisfy 0 <= r < 1, got {}", r)
+    q, rr = spec.q, r * r
+    denom = 1.0 - rr
+    center = np.empty(r.shape, dtype=complex)
+    center.real = (q.real + rr * q.real - 2.0 * spec.a * r * r) / denom
+    center.imag = (q.imag - rr * q.imag) / denom
     radius = 2.0 * r * spec.scale / denom
-    return center, radius
+    return (complex(center), float(radius)) if r.ndim == 0 else (center, radius)
 
-def harnack_bounds(spec: GeneratorSpec, r: float):
+def harnack_bounds(spec: GeneratorSpec, r):
     """Sharp two-sided bounds for Re p on the circle |z| = r.
 
     Returns (lo, hi) with
         lo = ((1 - r) Re q + 2 a r) / (1 + r),
         hi = ((1 + r) Re q - 2 a r) / (1 - r).
     These equal Re(center) -/+ radius of ``value_disk`` identically, and
-    lo decreases to a as r -> 1.
+    lo decreases to a as r -> 1.  An array of radii gives the bits of the
+    scalar calls.
     """
-    _check(0.0 <= r < 1.0, "radius must satisfy 0 <= r < 1, got {}", r)
+    r = np.asarray(r, dtype=float)
+    _check((0.0 <= r) & (r < 1.0), "radius must satisfy 0 <= r < 1, got {}", r)
     rq = spec.q.real
     lo = ((1.0 - r) * rq + 2.0 * spec.a * r) / (1.0 + r)
     hi = ((1.0 + r) * rq - 2.0 * spec.a * r) / (1.0 - r)
-    return lo, hi
+    return (float(lo), float(hi)) if r.ndim == 0 else (lo, hi)
 
 @dataclass(frozen=True)
 class SampleConfig:

@@ -66,10 +66,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import MAX_COMPOSITIONS, NonConvergenceError, _check_broadcast, _check_count, _check_lambda, _check_points
-from .herglotz import GeneratorSpec, _p_and_dp, _p_series
+from .herglotz import GeneratorSpec, _p_and_dp
 
 DEFAULT_TOL = 1e-12
 MAX_ITER = 10_000
+# How far past |z| the trust disk reaches, here and in the flows of ``semigroup``.
+_TRUST_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,8 @@ def _solve_core(spec, lam, z, tol, max_iter):
 
     Each point starts from the Pade form of G_lambda's third-order series,
     or from w0 = z / (1 + lambda q) where that is not finite or not in the
-    trust disk (see the module docstring); p1 and p2 are cached per spec
-    (``_p_series``).  ``max_iter=0`` returns the start.
+    trust disk (see the module docstring); p1 and p2 are constants of the
+    spec, fixed when it was built.  ``max_iter=0`` returns the start.
 
     A round updates only the active points (|F| > tol).  Once at most half
     of the working set is active, every per-point array is cut down to the
@@ -127,8 +129,8 @@ def _solve_core(spec, lam, z, tol, max_iter):
     """
     out = None  # the full-size w, p, p', |F| and iterations, from the first cut on
     idx = np.arange(z.size)
-    cap = np.abs(z) + 1e-12
-    p1, p2 = _p_series(spec)
+    cap = np.abs(z) + _TRUST_SLACK
+    p1, p2 = spec._p_series
     D = 1.0 + lam * spec.q
     w = z / D
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

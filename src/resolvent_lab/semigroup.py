@@ -30,9 +30,11 @@ and a Newton step needs only p and p'.  All sample times share one guarded
 Newton iteration.  It starts from a guess that slides from w0 e^(-kappa t)
 (right near w0) to the linearisation of K at 0 (right for small w); a step
 is accepted only inside the trust disk |w| <= |w0| + 1e-12 and only when
-it lowers |G|, halving it otherwise.  A time that misses restarts from the converged
-point before it; if that misses too, IntegrationError carries the
-converged prefix.
+it lowers |G|, halving it otherwise.  A time that misses is solved again
+from the converged point before it; if that misses too, the time gap is
+bisected from the last converged point, each half started from the point
+before it, down to _MAX_BISECT halvings.  A miss at that depth raises
+IntegrationError carrying the converged prefix.
 
 ``_koenigs_terms`` builds h once per generator:
 
@@ -106,8 +108,8 @@ import numpy as np
 from .exceptions import IntegrationError, _check_lambda, _check_points, _check_t_end
 # eval_p is not called here: perfbench's traced run wraps it in this
 # namespace, and tests/test_bindings.py pins every name that run looks up.
-from .herglotz import GeneratorSpec, _atom_arrays, _p_and_dp, eval_p  # noqa: F401
-from .resolvent import iterate_resolvent, solve_resolvent
+from .herglotz import GeneratorSpec, _p_and_dp, eval_p  # noqa: F401
+from .resolvent import _TRUST_SLACK, iterate_resolvent, solve_resolvent
 
 # A start whose integration variable w lies this close to an atom direction
 # (|1 - w conj(zeta)| at or below the threshold) is refused with an
@@ -118,6 +120,8 @@ _EPS = np.finfo(float).eps
 # Newton rounds per sample time, and halvings of a step that does not lower |G|.
 _MAX_NEWTON = 60
 _MAX_BACKTRACK = 30
+# How many times a sample time that Newton misses may have its gap from the time before halved (see _flow).
+_MAX_BISECT = 8
 # A sample time has converged once |G| or the Newton correction is within
 # this many rounding errors (see _settled).
 _TOL_ULPS = 64
@@ -197,14 +201,14 @@ def _near_pairs(roots):
 
 @lru_cache(maxsize=4096)
 def _koenigs_terms(spec: GeneratorSpec) -> _Koenigs:
-    """The terms of h for one generator (see the module docstring); cached per spec like _atom_arrays."""
+    """The terms of h for one generator (see the module docstring); cached per spec, as only the flows need them."""
     empty = np.zeros(0, dtype=complex)
     if spec.scale == 0.0:  # p == q, h == 0
         return _Koenigs(empty, empty, empty, empty, empty, np.zeros(1, dtype=complex), 0.0)
-    weights, conj_zetas, _ = _atom_arrays(spec)
+    weights, conj_zetas = spec._weights, spec._conj_zetas
     zetas, n = 1.0 / conj_zetas, conj_zetas.size
-    # p(u) = d + sum_k A_k / (u - zeta_k), since (1 + x) / (1 - x) = 2 / (1 - x) - 1; scaled by sigma
-    d = complex(spec.a, spec.gamma) - spec.scale
+    # p(u) = d + sum_k A_k / (u - zeta_k), d = p(infinity), since (1 + x) / (1 - x) = 2 / (1 - x) - 1; scaled by sigma
+    d = spec._p_inf
     A = -2.0 * spec.scale * weights * zetas
     sigma = abs(d) + np.abs(A).sum()
     d, A = d / sigma, A / sigma
@@ -327,7 +331,7 @@ def _newton(spec, lam, kappa, w0, phi0, target, guess):
     |G|.  A candidate far from the root may overflow exp; its |G| is then
     inf or NaN, which the descent test rejects.
     """
-    cap = abs(w0) + 1e-12
+    cap = abs(w0) + _TRUST_SLACK
     w = guess.copy()
     p, dp, phi = _phi(spec, lam, w)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -359,6 +363,12 @@ def _newton(spec, lam, kappa, w0, phi0, target, guess):
         return w, p, _settled(kappa, lam, w, p, dp, phi, phi0, G, target)[0]
 
 
+def _decay(kappa, times):
+    """e^(-kappa t) at each time; 0 where e^(-Re kappa t) underflows to 0, since kappa t can overflow there."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(np.exp(-kappa.real * times) == 0.0, 0.0, np.exp(-kappa * times))
+
+
 def _flow(spec, lam, z0, times):
     """Flow of f o G_lam from z0, solved in w and returned in u; lam = 0 is the plain flow.
 
@@ -369,10 +379,8 @@ def _flow(spec, lam, z0, times):
     if times[-1] == 0.0:
         return start
     w0 = solve_resolvent(spec, lam, z0).w if lam else z0
-    if spec.scale > 0.0:
-        conj_zetas = _atom_arrays(spec)[1]
-        if float(np.min(np.abs(1.0 - w0 * conj_zetas))) <= POLE_PROXIMITY:
-            raise IntegrationError("initial point is inside the pole-proximity zone", trajectory=start)
+    if spec.scale > 0.0 and float(np.min(np.abs(1.0 - w0 * spec._conj_zetas))) <= POLE_PROXIMITY:
+        raise IntegrationError("initial point is inside the pole-proximity zone", trajectory=start)
     error = _koenigs_terms(spec).error
     if not error <= _TERMS_TOL:
         raise IntegrationError(f"the Koenigs function of this generator is off by {error:.3g} relative "
@@ -381,8 +389,7 @@ def _flow(spec, lam, z0, times):
     if kappa == 0.0:  # q = 0 only for p == 0, where nothing moves
         return Trajectory(times=times, points=np.full(times.size, z0), z0=z0)
     phi0 = complex(_phi(spec, lam, np.array([w0]))[2][0])
-    with np.errstate(over="ignore", invalid="ignore"):  # kappa t can overflow where e^(-Re kappa t) is 0
-        decay = np.where(np.exp(-kappa.real * times) == 0.0, 0.0, np.exp(-kappa * times))
+    decay = _decay(kappa, times)
     if not np.isfinite(decay).all():
         raise IntegrationError("Im(kappa) t overflows a double, so the flow has no phase", trajectory=start)
     target = w0 * decay
@@ -392,9 +399,20 @@ def _flow(spec, lam, z0, times):
     big = np.abs(guess) > abs(w0)
     guess[big] *= abs(w0) / np.abs(guess[big])
     w, p, converged = _newton(spec, lam, kappa, w0, phi0, target, guess)
+
+    def reach(t0, w_t0, t1, goal, depth):
+        """w, p and success at t1, whose target is ``goal``, from the converged ``w_t0`` at t0: one Newton
+        call from there, and on a miss each half of the gap in turn, down to ``depth`` halvings."""
+        w1, p1, ok = _newton(spec, lam, kappa, w0, phi0, goal, w_t0)
+        if ok[0] or depth == 0:
+            return w1, p1, ok[0]
+        mid = 0.5 * (t0 + t1)
+        wm, pm, ok = reach(t0, w_t0, mid, w0 * _decay(kappa, np.array([mid])), depth - 1)
+        return reach(mid, wm, t1, goal, depth - 1) if ok else (wm, pm, False)
+
     for k in np.flatnonzero(~converged):
-        wk, pk, ok = _newton(spec, lam, kappa, w0, phi0, target[k:k + 1], w[k - 1:k])
-        if not ok[0]:
+        wk, pk, ok = reach(times[k - 1], w[k - 1:k], times[k], target[k:k + 1], _MAX_BISECT)
+        if not ok:
             prefix = w[:k] * (1.0 + lam * p[:k])
             prefix[0] = z0
             raise IntegrationError(f"root-find failed at t = {times[k]:.6g}",
@@ -467,7 +485,7 @@ def _chains(spec, z0, t, ns, start):
     head = np.zeros(start.size, dtype=bool)
     head[ends - sizes] = True
     s = np.repeat(t / sizes, sizes)
-    cap = min(abs(z0) + 1e-12, 1.0)
+    cap = min(abs(z0) + _TRUST_SLACK, 1.0)
     w = start.copy()
     running = np.ones(sizes.size, dtype=bool)
     converged = np.zeros(sizes.size, dtype=bool)

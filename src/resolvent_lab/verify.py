@@ -157,9 +157,6 @@ class Violation:
     observed: float
     margin: float
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass
 class VerificationReport:
@@ -414,16 +411,19 @@ def _suite_herglotz_equiv(cfg: SuiteConfig, seed: int):
     ang = 2.0 * np.pi * np.arange(cfg.n_angles) / cfg.n_angles
     # one ring per radius: the angles, then the real points r and -r
     rings = np.concatenate([radii[:, None] * np.exp(1j * ang), radii[:, None] * [1.0 + 0.0j, -1.0 + 0.0j]], axis=1)
+    def stack(*parts):  # the claims' (ring, point) arrays as one (ring, claim, point) block
+        return np.stack(np.broadcast_arrays(*parts), axis=1)
+
     for spec in specs:
-        for r, zs, p in zip(radii, rings, eval_p(spec, rings)):
-            center, radius = value_disk(spec, float(r))
-            lo, hi = harnack_bounds(spec, float(r))
-            tol = 1e-10 * max(1.0, abs(center) + radius)
-            dist = np.abs(p - center)
-            col.add_array(factor * radius - dist, factor * radius, dist, spec, None, zs, tol)
-            col.add_array(p.real - lo, lo, p.real, spec, None, zs, tol)
-            col.add_array(factor * hi - p.real, factor * hi, p.real, spec, None, zs, tol)
-            col.add_array(p.real - spec.a, spec.a, p.real, spec, None, zs, tol)
+        p = eval_p(spec, rings)
+        re = p.real
+        center, radius = value_disk(spec, radii[:, None])
+        lo, hi = harnack_bounds(spec, radii[:, None])
+        # np.hypot is Python's complex abs; numpy's own complex abs rounds differently
+        tol = 1e-10 * np.maximum(1.0, np.hypot(center.real, center.imag) + radius)
+        dist, disk, top = np.abs(p - center), factor * radius, factor * hi
+        col.add_array(stack(disk - dist, re - lo, top - re, re - spec.a), stack(disk, lo, top, spec.a),
+                      stack(dist, re, re, re), spec, None, rings[:, None], tol[:, None])
     return col, len(specs), col.count // len(specs)
 
 

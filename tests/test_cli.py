@@ -241,6 +241,13 @@ class TestBoundsAndOrder:
         assert data["a_lambda"] == pytest.approx(0.25)
         assert data["M1"] == pytest.approx(2.0)
 
+    def test_small_lambda_a_lambda(self, capsys):
+        # (1 - distortion) / lambda cancelled here and printed 0.50000004137, above a = 0.5; the true value is
+        # 0.4999999999875
+        code, out, _ = run_cli(capsys, "bounds", "--q", "1", "--a", "0.5", "--lambda", "1e-9")
+        assert code == 0
+        assert "a_lambda = 0.499999999875\n" in out
+
     def test_overflowing_lambda_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "bounds", "--q", "1", "--lambda", "1e200", "--json")
         assert code == 2

@@ -1,7 +1,9 @@
 """Generator evaluation: kernel sums, value disks, Harnack bounds, sampling."""
 
+import dataclasses
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +23,7 @@ from resolvent_lab import (
     spec_to_dict,
     value_disk,
 )
-from resolvent_lab.herglotz import _atom_terms, _p_and_dp
+from resolvent_lab.herglotz import _p_and_dp
 from conftest import disk_points
 
 
@@ -81,9 +83,9 @@ def kernel_specs():
 
 
 def exact_p_and_dp(spec, z):
-    """p(z) and p'(z) from the float constants of ``_atom_terms``, summed exactly in Fractions as
+    """p(z) and p'(z) from the float constants that the spec fixes, summed exactly in Fractions as
     (real, imag) pairs, with |p(inf)| + sum |a_k / d_k| and sum |b_k / d_k^2|, the sizes of their terms."""
-    p_inf, terms = _atom_terms(spec)
+    p_inf, terms = spec._p_inf, spec._terms
     zr, zi = Fraction(z.real), Fraction(z.imag)
     p = [Fraction(p_inf.real), Fraction(p_inf.imag)]
     dp = [Fraction(0), Fraction(0)]
@@ -137,6 +139,17 @@ class TestKernelContract:
                 exact_p, exact_dp, size_p, size_dp = exact_p_and_dp(spec, complex(z[k]))
                 assert exact_error(p[k], exact_p) <= bound * size_p
                 assert exact_error(dp[k], exact_dp) <= bound * size_dp
+
+    def test_rebuilt_spec_has_the_same_bits(self):
+        # the constants are fixed when a spec is built, so every way of building it again gives the same p and p'
+        z = disk_points(np.random.default_rng(44), 300, 0.999)
+        for spec in kernel_specs():
+            p, dp = _p_and_dp(spec, z)
+            for copy in (spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))), pickle.loads(pickle.dumps(spec)),
+                         dataclasses.replace(spec), dataclasses.replace(spec, gamma=spec.gamma)):
+                assert copy == spec
+                pc, dpc = _p_and_dp(copy, z)
+                assert pc.tobytes() == p.tobytes() and dpc.tobytes() == dp.tobytes()
 
     def test_pole_guard_at_an_atom(self):
         # past |z| = 1 - 1e-13 the guard checks every denominator, alone or among other points
@@ -215,6 +228,24 @@ class TestValueDisk:
     def test_domain_error(self, single_atom):
         with pytest.raises(DomainError):
             value_disk(single_atom, 1.0)
+
+
+def test_radius_arrays_give_the_scalar_calls_bit_for_bit(random_specs):
+    # value_disk and harnack_bounds on an array of radii, each entry against its scalar call and against the
+    # scalar call's formula in Python's complex arithmetic
+    r = np.concatenate([[0.0, 1 - 1e-9, 0.999, 0.1], np.random.default_rng(9).uniform(0.0, 1.0, 20)]).reshape(6, 4)
+    specs = random_specs + [GeneratorSpec(atoms=((1.0, 1.0),), a=0.4, scale=0.0, gamma=-0.3)]
+    for spec in specs:
+        center, radius = value_disk(spec, r)
+        lo, hi = harnack_bounds(spec, r)
+        assert center.shape == radius.shape == lo.shape == hi.shape == r.shape
+        scalars = [value_disk(spec, x) + harnack_bounds(spec, x) for x in r.ravel().tolist()]
+        assert all(type(c) is complex and type(d) is type(l) is type(h) is float for c, d, l, h in scalars)
+        q = spec.q
+        python = [(q + x * x * q.conjugate() - 2.0 * spec.a * x * x) / (1.0 - x * x) for x in r.ravel().tolist()]
+        for got, column in zip((center, radius, lo, hi), zip(*scalars)):
+            assert got.ravel().tobytes() == np.array(column).tobytes()
+        assert center.ravel().tobytes() == np.array(python).tobytes()
 
 
 class TestHarnack:

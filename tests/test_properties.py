@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from resolvent_lab import (
     ConfigError,
     DomainError,
+    GeneratorSpec,
     SuiteConfig,
     composed_accretivity,
     distortion_at_critical_lambda,
@@ -30,6 +31,7 @@ from resolvent_lab import (
     est1_bound,
     eval_p,
     extremal_generator,
+    harnack_bounds,
     integrate,
     integrate_composed,
     iterate_resolvent,
@@ -44,6 +46,7 @@ from resolvent_lab import (
     t_function,
     threshold_m1,
     threshold_m2,
+    value_disk,
 )
 from resolvent_lab.bounds import _certifying_conditions, _out, _t_refines
 from resolvent_lab.cli import parse_complex
@@ -153,6 +156,18 @@ def _refines(q, a, lam, r):
     return _out(np.where(_t_refines(q, a, lam, r), 1.0, 0.0))
 
 
+# The value disk's radius and the upper Harnack bound of one spec, one float per radius, so that they fit the table
+DISK_SPEC = GeneratorSpec(atoms=((0.3, 1.0), (2.0, 2.0)), a=0.2, scale=0.7, gamma=-0.4)
+
+
+def value_disk_radius(r):
+    return value_disk(DISK_SPEC, r)[1]
+
+
+def harnack_upper(r):
+    return harnack_bounds(DISK_SPEC, r)[1]
+
+
 # Each closed form with the parameters it takes, named as in entry_columns; the public ones check their input.
 PUBLIC_FORMS = [
     (distortion_bound, "q a lam"),
@@ -166,9 +181,11 @@ PUBLIC_FORMS = [
     (threshold_m2, "q lam"),
     (region_boundary, "s"),
     (distortion_at_critical_lambda, "q a"),
+    (value_disk_radius, "r"),
+    (harnack_upper, "r"),
 ]
 CLOSED_FORMS = PUBLIC_FORMS + [(_conditions, "q a lam"), (_refines, "q a lam r")]
-# fewer examples than PROPERTY: 13 closed forms, each called once per entry of a grid
+# fewer examples than PROPERTY: 15 closed forms, each called once per entry of a grid
 CLOSED_FORM_PROPERTY = settings(PROPERTY, max_examples=40)
 
 # One valid entry: Re q, Im q, a as a share of Re q, lambda and a radius, over wide ranges so that the
@@ -313,6 +330,36 @@ def test_m1_matches_a_decimal_reference(log_rq, share):
 def test_m2_matches_a_decimal_reference(log_rq, log_s):
     rq, lam = 10.0**log_rq, 10.0 ** (log_s - log_rq)
     assert_close_to(threshold_m2(rq, lam), m2_reference(rq, lam))
+
+
+def a_lambda_reference(q: complex, a: float, lam: float) -> decimal.Decimal:
+    """(1 - sqrt(2 / (A + sqrt(B)))) / lambda, the direct form, at exact inputs and 2000 digits, far more than 1 - d
+    cancels on these draws."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2000
+        rq, iq, a, lam = (decimal.Decimal(v) for v in (q.real, q.imag, a, lam))
+        m = (1 - lam * rq) ** 2 + (lam * iq) ** 2
+        A = m + 4 * lam * a + 1
+        B = (m - 1) ** 2 + 8 * lam**3 * a * (rq * rq + iq * iq)
+        return (1 - (2 / (A + B.sqrt())).sqrt()) / lam
+
+
+@PROPERTY
+@given(log_rq=st.floats(-6.0, 3.0), ratio=st.floats(-10.0, 10.0), log_lam=st.floats(-12.0, 8.0),
+       share=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+@example(log_rq=0.0, ratio=0.0, log_lam=-9.0, share=0.5)  # the direct form gave 0.50000004137 for 0.499999999875
+@example(log_rq=-4.886, ratio=-3.85, log_lam=-9.96, share=0.0315)  # and 1.01e-6 for 4.10e-7 here
+@example(log_rq=127.5, ratio=0.0, log_lam=-100.0, share=0.0)  # w^2 overflows a double, sqrt(w^2 + c) is inf
+def test_a_lambda_matches_a_decimal_reference(log_rq, ratio, log_lam, share):
+    rq, lam = 10.0**log_rq, 10.0**log_lam
+    q, a = complex(rq, rq * ratio), rq * share
+    reference = a_lambda_reference(q, a, lam)
+    # w = lambda |q|^2 - 2 Re q cancels near lambda |q|^2 = 2 Re q: the rounding of its terms, eps times their sizes,
+    # reaches a_lambda through 1 / (S (1 + d)) = d^2 / (2 (1 + d)); elsewhere a_lambda is within 2e-15 relative
+    d = distortion_bound(q, a, lam)
+    w_error = 2.0 * np.finfo(float).eps * (lam * abs(q) ** 2 + 2.0 * rq) * d * d / (1.0 + d)
+    error = abs(decimal.Decimal(composed_accretivity(q, a, lam)) - reference)
+    assert error <= decimal.Decimal("2e-15") * reference + decimal.Decimal(w_error), (q, a, lam)
 
 
 # One rule, one wording: each entry point that takes lambda, a point or a count applies the one rule of

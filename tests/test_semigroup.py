@@ -563,6 +563,7 @@ def test_generator_with_inaccurate_koenigs_terms_is_refused(single_atom, monkeyp
 def test_failed_root_find_carries_converged_prefix(single_atom, monkeypatch):
     full = integrate(single_atom, 0.5, 2.0)
     monkeypatch.setattr(semigroup, "_MAX_NEWTON", 3)
+    monkeypatch.setattr(semigroup, "_MAX_BISECT", 0)  # halving the gap would recover the missed time
     with pytest.raises(IntegrationError, match="root-find failed") as info:
         integrate(single_atom, 0.5, 2.0)
     prefix = info.value.trajectory
@@ -607,6 +608,36 @@ def test_times_that_need_the_restart(monkeypatch):
     ladder_gaps(spec, z0, 1.0)
     assert [len(ok) for ok in calls] == [129, 1, 1]
     assert calls[0].count(False) == 2 and calls[1:] == [[True]] * 2
+
+
+# a TRAP_CONFIG start at radius 1 - 1e-6, 0.01 rad beside an atom: p(z0) = 0.116 + 50.4i turns the flow past the
+# atom by t = 0.005, and no Newton step from z0 over that whole first gap lowers |G| inside the trust disk
+BISECTION_SPEC, BISECTION_Z0 = sample_generator(314728431, TRAP_CONFIG), -0.8022061973771498 + 0.5970454060544251j
+
+
+def test_flow_that_needs_the_bisection(monkeypatch):
+    newton, sizes = semigroup._newton, []
+
+    def recording(*args):
+        w, p, ok = newton(*args)
+        sizes.append(ok.size)
+        return w, p, ok
+
+    monkeypatch.setattr(semigroup, "_newton", recording)
+    traj = integrate(BISECTION_SPEC, BISECTION_Z0, 1.0)
+    # the first pass, the restart over the whole gap, then the halves of the gap
+    assert sizes[0] == 201 and len(sizes) > 2
+    assert np.max(np.abs(traj.points - rk45_flow(BISECTION_SPEC, 0.0, BISECTION_Z0, 1.0, 201))) <= 1e-10
+    monkeypatch.setattr(semigroup, "_MAX_BISECT", 0)
+    with pytest.raises(IntegrationError, match="root-find failed at t = 0.005"):
+        integrate(BISECTION_SPEC, BISECTION_Z0, 1.0)
+
+
+def test_ladder_that_needs_the_bisection():
+    t = 1.0
+    endpoint = integrate(BISECTION_SPEC, BISECTION_Z0, t).endpoint
+    for n, gap in ladder_gaps(BISECTION_SPEC, BISECTION_Z0, t):
+        assert abs(gap - abs(iterate_resolvent(BISECTION_SPEC, t / n, BISECTION_Z0, n) - endpoint)) <= 1e-10
 
 
 def test_ladder_that_needs_the_descent_test():

@@ -136,7 +136,7 @@ def test_report_schema():
 def test_violation_schema():
     cfg = dataclasses.replace(SMALL, negative_control=True)
     report = run_suite("distortion", cfg, seed=101)
-    entry = report.violations[0].to_dict()
+    entry = report.to_dict()["violations"][0]
     assert set(entry) == {"spec", "lam", "z", "expected", "observed", "margin"}
     assert entry["margin"] < 0
     assert entry["observed"] > entry["expected"]
