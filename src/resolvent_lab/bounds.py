@@ -2,9 +2,9 @@
 
 Everything here is an elementary function of (q, a, lambda), where
 q = p(0) and a is the accretivity floor of the generator class.  All
-formulas are evaluated directly in double precision, with no symbolic
-simplification, so each one can be cross-checked independently against
-sampled truth.
+formulas are evaluated in double precision, each in a form that does not
+cancel where its direct form would, and each is cross-checked against
+sampled truth and against its direct form in decimal arithmetic.
 
 Each closed form takes scalars (giving a float) or arrays that broadcast,
 giving the bits and, at the first bad entry, the DomainError of the scalar
@@ -162,21 +162,21 @@ def composed_accretivity(q, a, lam):
     return _out((4.0 * a + rest) / (S * (1.0 + np.sqrt(2.0 / S))))
 
 
-def _g_floor(q, a, lam, tau) -> np.ndarray:
-    """Lower bound for Re g on |G| = tau, via the reciprocal of the value disk.
+def _g_floor(q, a, lam, gap) -> np.ndarray:
+    """Lower bound for Re g on |G| = 1 - gap, via the reciprocal of the value disk.
 
-    1 + lambda p(w) lies in the disk D(C, R) with C = 1 + lambda c(tau),
-    R = lambda r(tau) built from the Herglotz value disk of p at radius tau;
-    Re C - R = 1 + lambda * (Harnack floor) >= 1 keeps the reciprocal disk
-    well defined, and min Re over {1/v} is (Re C - R) / (|C|^2 - R^2).
+    1 + lambda p(w) lies in D(C, R), 1 + lambda times the value disk of p:
+    Im C = lambda Im q, and its real extent [x, y] is 1 + lambda times the
+    Harnack bounds, x = 1 + lambda a + s gap/(2 - gap) and y = 1 + lambda a
+    + s (2 - gap)/gap with s = lambda (Re q - a).  x >= 1 keeps 1/v defined,
+    and min Re 1/v = x / (x y + (lambda Im q)^2): no term cancels as gap -> 0.
     """
-    tau = np.asarray(tau, dtype=float)
-    denom = 1.0 - tau * tau
-    c = (q + tau * tau * np.conj(q) - 2.0 * a * tau * tau) / denom
-    r = 2.0 * tau * (q.real - a) / denom
-    C = 1.0 + lam * c
-    R = lam * r
-    return (C.real - R) / (C.real * C.real + C.imag * C.imag - R * R)
+    gap = np.asarray(gap, dtype=float)
+    s = lam * (q.real - a)
+    x = 1.0 + lam * a + s * gap / (2.0 - gap)
+    y = 1.0 + lam * a + s * (2.0 - gap) / gap
+    im = lam * q.imag
+    return x / (x * y + im * im)
 
 
 def resolvent_accretivity(q, a, lam):
@@ -184,27 +184,28 @@ def resolvent_accretivity(q, a, lam):
 
     The center-minus-radius floor of the reciprocal value disk at the
     reachable radius tau_hat = distortion bound; see the module note.  The
-    floor is non-increasing in the radius, so no search is needed.  For
-    constant p (a = Re q) the result is (1 + lambda Re q)/|1 + lambda q|^2
-    up to rounding, the true constant of the linear resolvent.
+    floor is non-increasing in the radius, so no search is needed; its gap
+    1 - tau_hat is lambda a_lambda, at least 1e-9.  For constant p (a = Re q)
+    the result is (1 + lambda Re q)/|1 + lambda q|^2 up to rounding, the
+    linear resolvent's own constant.
     """
     q, a, lam = _validate_qal(q, a, lam)
-    tau_hat = np.minimum(distortion_bound(q, a, lam), 1.0 - 1e-9)
-    return _out(_g_floor(q, a, lam, tau_hat))
+    return _out(_g_floor(q, a, lam, np.maximum(lam * composed_accretivity(q, a, lam), 1e-9)))
 
 
 def t_function(alpha, beta, r):
     """Deviation bound T(r) = 2 alpha r / ((1+beta)(1-r)^2 + alpha(1-r^2)).
 
     Increasing in r on [0, 1), T(0) = 0, and T = 0 for every r when
-    alpha = 0 (linear map).
+    alpha = 0 (linear map).  1 - r^2 is (1 - r)(1 + r), so nothing cancels.
     """
     alpha, beta, r = (np.asarray(x, dtype=float) for x in (alpha, beta, r))
     _check((0.0 <= r) & (r < 1.0), "radius must satisfy 0 <= r < 1, got {}", r)
     ok = (0.0 <= alpha) & (alpha < math.inf) & (0.0 <= beta) & (beta < math.inf)
     _check(ok, "alpha and beta must be finite and >= 0, got {}, {}", alpha, beta)
     with np.errstate(over="ignore", invalid="ignore"):  # alpha near the top of the double range gives inf, unwarned
-        return _out(2.0 * alpha * r / ((1.0 + beta) * ((1.0 - r) * (1.0 - r)) + alpha * (1.0 - r * r)))
+        u = 1.0 - r
+        return _out(2.0 * alpha * r / ((1.0 + beta) * (u * u) + alpha * (u * (1.0 + r))))
 
 
 def rho_star(q, a, lam):

@@ -517,18 +517,18 @@ def _chains(spec, z0, t, ns, start):
 def ladder_gaps(spec: GeneratorSpec, z0: complex, t: float):
     """Product-formula gaps [(n, |G_{t/n}^(n)(z0) - u(t, z0)|)] for n = 8, 16, ..., 128; empirically O(1/n).
 
-    One flow root-find gives u at every time k t / n of every rung; each
-    rung is then one Newton chain started from those values, and a rung
-    whose chain fails is composed by ``iterate_resolvent``.
+    One flow root-find on the top rung's times k t / 128 gives u at every
+    time k t / n of every rung, the sample k (128 / n); each rung is then
+    one Newton chain started from those values, and a rung whose chain
+    fails is composed by ``iterate_resolvent``.
     """
     t = _check_t_end(t)
-    grids = [np.linspace(0.0, t, n + 1) for n in _LADDER]
-    times = np.unique(np.concatenate(grids))
-    flow = _flow(spec, 0.0, z0, times)
+    top = _LADDER[-1]
+    flow = _flow(spec, 0.0, z0, np.linspace(0.0, t, top + 1))
     endpoint = flow.endpoint
     if not t:
         return [(n, 0.0) for n in _LADDER]
-    start = flow.points[np.searchsorted(times, np.concatenate([g[1:] for g in grids]))]
+    start = flow.points[np.concatenate([np.arange(1, n + 1) * (top // n) for n in _LADDER])]
     composed, converged = _chains(spec, flow.z0, t, _LADDER, start)
     if not converged.all():
         failed = np.array(_LADDER)[~converged]

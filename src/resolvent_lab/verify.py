@@ -8,10 +8,10 @@ except for the elapsed time.  A suite that checks no sample at all is a
 configuration error, not a pass.
 
 The seven suites that check solved resolvents are rows of ``_SWEEPS``, all
-run by one loop, ``_sweep``.  For every run of consecutive passes on one
-generator it does one cold ``solve_resolvent_grid`` on the generator's
-sample set, one row per lambda, and one check per solve block: the row's
-claim on the (lambda x z) solution, which carries w = G(z) and Q:
+run by one loop, ``_sweep``.  A row gives each generator its lambda values;
+the loop does one cold ``solve_resolvent_grid`` per generator on its
+sample set, one row per lambda, and checks the row's claim once on the
+(lambda x z) solution, which carries w = G(z) and Q:
 
     suite                  claim on w = G(z) or Q                   planted
     distortion             |w|/|z| <= distortion(q, a, lam)         atom(1, 0)
@@ -23,9 +23,9 @@ claim on the (lambda x z) solution, which carries w = G(z) and Q:
     starlike_T             |Q - 1| <= T(rho) when rho <= rho*       atom(1, 1/4)
 
 A row holds only what differs between these suites: the planted specs,
-the generator ranges (est1 keeps to a = 0), the passes (the lambda grid
-by default; starlike_half adds lambda = 1.999 after the grid, starlike_T
-adds lambda = 2 and skips the passes where rho > rho*), the tolerance, the
+the generator ranges (est1 keeps to a = 0), each generator's lambdas (the
+grid by default; starlike_half adds lambda = 1.999, starlike_T adds
+lambda = 2 and keeps only the lambdas where rho <= rho*), the tolerance, the
 claim ``(spec, lam, zs, sol) -> (bound, observed)`` on the grid solution,
 lam a column, with its direction, the negative-control transform of the
 bound, and est1's closed-form side check.  herglotz_equiv, squeeze,
@@ -51,7 +51,6 @@ magnitude, flow envelopes 1e-8, and product-formula gap ratios 0.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import time
@@ -237,9 +236,9 @@ def _sample_z(seed: int, idx: int, cfg: SuiteConfig) -> np.ndarray:
 # the solver suites: one sweep loop, one row each
 # ---------------------------------------------------------------------------
 
-def _grid_passes(specs, lams):
-    """Every generator at every lambda of the grid, generator by generator."""
-    return [(i, lam) for i in range(len(specs)) for lam in lams]
+def _grid_lams(specs, grid):
+    """Every generator at every lambda of the grid."""
+    return [grid] * len(specs)
 
 
 @dataclass(frozen=True)
@@ -252,25 +251,27 @@ class _Sweep:
     tol: float = 1e-9
     floor: bool = False  # the claim is observed >= bound, not observed <= bound
     samples: SampleConfig = _SAMPLES
-    passes: Callable = _grid_passes  # (specs, lambda grid) -> [(spec index, lam)]
+    lams: Callable = _grid_lams  # (specs, lambda grid) -> one lambda array per spec
     side: Callable | None = None  # (spec, lam) -> (bound, observed), closed form, never falsified
 
 
 def _sweep(row: _Sweep, cfg: SuiteConfig, seed: int):
-    """One cold solve per run of a generator's passes, checked once against the row's claim.
+    """One cold solve per generator at its lambdas, checked once against the row's claim.
 
-    Consecutive passes on one generator share one ``solve_resolvent_grid``
-    call, one row of points per lambda, and the claim, its control and the
-    side check run once on that block, with lambda as a column.  Returns the
-    collector, the number of generators and the samples per generator.
+    A generator's ``solve_resolvent_grid`` call takes one row of points per
+    lambda, and the claim, its control and the side check run once on that
+    block, with lambda as a column; a generator with no lambda is not
+    solved.  Returns the collector, the number of generators and the
+    samples per generator.
     """
     col = _Collector(row.tol)
     specs = _spec_pool(seed, 0xA5, cfg.n_generators, row.planted, row.samples)
     zsets = [_sample_z(seed, i, cfg) for i in range(len(specs))]
     grid = np.geomspace(*_LAMBDA_RANGE, cfg.n_lambdas)
-    for i, run in itertools.groupby(row.passes(specs, grid), key=lambda p: p[0]):
-        spec, zs = specs[i], zsets[i]
-        lams = np.array([lam for _, lam in run], dtype=float)[:, None]
+    for spec, zs, lams in zip(specs, zsets, row.lams(specs, grid)):
+        if not lams.size:
+            continue
+        lams = lams[:, None]
         sol = solve_resolvent_grid(spec, lams, zs[None, :])
         bound, observed = row.claim(spec, lams, zs, sol)
         if cfg.negative_control:
@@ -304,30 +305,25 @@ def _ineq_z_claim(spec, lam, zs, sol):
 
 # Deviation of the planted sharp case peaks near 0.956 (single atom,
 # lambda just below 2, sampled at z = -r_max), so a factor-0.9 falsified
-# bound must trip while the true bound 1 passes.  Every generator gets the
-# lambda = 1.999 pass, after the grid, so each has the same sample count.
+# bound must trip while the true bound 1 passes.  Every generator gets
+# lambda = 1.999 after the grid, so each has the same sample count.
 _STARLIKE_CONTROL_FACTOR = 0.9
 _STARLIKE_SHARP_LAMBDA = 1.999
-
-
-def _starlike_half_passes(specs, lams):
-    return _grid_passes(specs, lams) + _grid_passes(specs, (_STARLIKE_SHARP_LAMBDA,))
 
 
 # Measured on the suite's own points, the planted (q=1, a=1/4) case reaches
 # 0.333 of its T bound at lambda = 2 and 0.978 at lambda = 50, the top of the
 # grid (the random pool reaches 0.985 at the default config).  A factor-0.2
-# falsified bound trips at every one of its passes, lambda = 2 included.
+# falsified bound trips at every one of its lambdas, lambda = 2 included.
 _STARLIKE_T_CONTROL_FACTOR = 0.2
 
 
-def _starlike_t_passes(specs, lams):
+def _starlike_t_lams(specs, grid):
     """The grid plus lambda = 2, where the hypothesis rho <= rho* holds."""
-    lams = np.append(lams, 2.0)
+    lams = np.append(grid, 2.0)
     q = np.array([spec.q for spec in specs])[:, None]
     a = np.array([spec.a for spec in specs])[:, None]
-    rows, cols = np.nonzero(_t_refines(q, a, lams, distortion_bound(q, a, lams)))
-    return list(zip(rows.tolist(), lams[cols].tolist()))
+    return [lams[on] for on in _t_refines(q, a, lams, distortion_bound(q, a, lams))]
 
 
 def _starlike_t_claim(spec, lam, zs, sol):
@@ -379,13 +375,13 @@ _SWEEPS = {
         planted=(_SHARP,),
         claim=lambda spec, lam, zs, sol: (1.0, np.abs(sol.Q - 1.0)),
         control=lambda b: _STARLIKE_CONTROL_FACTOR * b,
-        passes=_starlike_half_passes,
+        lams=lambda specs, grid: _grid_lams(specs, np.append(grid, _STARLIKE_SHARP_LAMBDA)),
     ),
     "starlike_T": _Sweep(
         planted=(_QUARTER,),
         claim=_starlike_t_claim,
         control=lambda b: _STARLIKE_T_CONTROL_FACTOR * b,
-        passes=_starlike_t_passes,
+        lams=_starlike_t_lams,
     ),
 }
 

@@ -164,8 +164,9 @@ class TestResolventAccretivity:
             )[i % 4]
             lam = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
             d = resolvent_accretivity(q, a, lam)
-            tau_hat = min(distortion_bound(q, a, lam), 1.0 - 1e-9)
-            dense = float(np.min(_g_floor(q, a, lam, np.linspace(0.0, tau_hat, 20001))))
+            # the radii 0 ... tau_hat as gaps 1 - tau, from the gap 1 - tau_hat = lambda a_lambda that d_lambda takes
+            gap_hat = max(lam * composed_accretivity(q, a, lam), 1e-9)
+            dense = float(np.min(_g_floor(q, a, lam, np.linspace(gap_hat, 1.0, 20001))))
             assert d <= dense + 1e-15 * abs(dense)
             assert dense - d <= 1e-9
 
@@ -207,7 +208,7 @@ class TestReciprocalDisk:
     def test_point_disk(self):
         # tau = 0: the disk is the point 1 + lambda q, and the floor is Re 1/(1 + lambda q)
         q, a, lam = 1.0 + 0.5j, 0.25, 2.0
-        assert _g_floor(q, a, lam, 0.0) == pytest.approx((1.0 / (1.0 + lam * q)).real, abs=1e-15)
+        assert _g_floor(q, a, lam, 1.0) == pytest.approx((1.0 / (1.0 + lam * q)).real, abs=1e-15)
 
     def test_real_interval_endpoints(self, single_atom):
         # real q: the disk is symmetric about the real axis, so the floor is 1/(C + R), the
@@ -215,7 +216,7 @@ class TestReciprocalDisk:
         for tau in (0.1, 0.5, 0.9):
             for lam in (0.3, 1.0, 4.0):
                 C, R = self.shifted_disk(single_atom, lam, tau)
-                floor = float(_g_floor(1.0 + 0j, 0.0, lam, tau))
+                floor = float(_g_floor(1.0 + 0j, 0.0, lam, 1.0 - tau))
                 assert floor == pytest.approx(1.0 / (C.real + R), rel=1e-13)
                 assert floor == pytest.approx(1.0 / (1.0 + lam * eval_p(single_atom, tau).real), rel=1e-12)
 
@@ -223,7 +224,7 @@ class TestReciprocalDisk:
         # conjugating q reflects the disk in the real axis, which keeps every real part
         for q in (1.0 + 2j, 0.3 - 1.7j):
             assert resolvent_accretivity(q, 0.2, 1.5) == resolvent_accretivity(q.conjugate(), 0.2, 1.5)
-            assert _g_floor(q, 0.2, 1.5, 0.6) == _g_floor(q.conjugate(), 0.2, 1.5, 0.6)
+            assert _g_floor(q, 0.2, 1.5, 1.0 - 0.6) == _g_floor(q.conjugate(), 0.2, 1.5, 1.0 - 0.6)
 
     def test_boundary_to_boundary(self):
         # 1/v maps the boundary of D(C, R) onto the boundary of the image disk, where Re is least
@@ -233,7 +234,7 @@ class TestReciprocalDisk:
             lam, tau = 0.5 + seed / 4, 0.05 + 0.9 * (seed % 7) / 7
             C, R = self.shifted_disk(spec, lam, tau)
             sampled = np.min((1.0 / (C + R * np.exp(1j * ang))).real)
-            floor = float(_g_floor(spec.q, spec.a, lam, tau))
+            floor = float(_g_floor(spec.q, spec.a, lam, 1.0 - tau))
             assert floor <= sampled + 1e-14
             assert sampled - floor <= 1e-9 * abs(floor)
 

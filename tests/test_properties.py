@@ -4,9 +4,10 @@ Whatever JSON-like value arrives, each boundary (spec JSON, complex text,
 suite configs) either builds its object or raises ConfigError or
 DomainError, never another exception.  Each closed form of ``bounds``
 gives on an array the bits of its scalar calls, and on an array with one
-bad entry the DomainError of the scalar call on that entry; M1 and M2 match
-a decimal reference.  Each rule on lambda, points, counts and t_end, and
-the cap on composition counts, gives one wording at every entry point.
+bad entry the DomainError of the scalar call on that entry; each matches
+its direct form in decimal arithmetic, within a stated bound.  Each rule
+on lambda, points, counts and t_end, and the cap on composition counts,
+gives one wording at every entry point.
 Hypothesis runs derandomized and without its example database, so every
 run of the suite draws the same examples.
 """
@@ -332,34 +333,163 @@ def test_m2_matches_a_decimal_reference(log_rq, log_s):
     assert_close_to(threshold_m2(rq, lam), m2_reference(rq, lam))
 
 
+def to_decimal(*values):
+    return tuple(decimal.Decimal(v) for v in values)
+
+
+def qal_reference(q: complex, a: float, lam: float):
+    """Re q, Im q, a and lambda as exact decimals, with m = |1 - lambda q|^2, A and B in the current context."""
+    rq, iq, a, lam = to_decimal(q.real, q.imag, a, lam)
+    m = (1 - lam * rq) ** 2 + (lam * iq) ** 2
+    return rq, iq, a, lam, m, m + 4 * lam * a + 1, (m - 1) ** 2 + 8 * lam**3 * a * (rq * rq + iq * iq)
+
+
+# (q, a, lambda) draws with tiny to large Re q, extreme lambda, and a at 0, at Re q and between
+QAL_DRAWS = dict(log_rq=st.floats(-6.0, 3.0), ratio=st.floats(-10.0, 10.0), log_lam=st.floats(-12.0, 8.0),
+                 share=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+
+
+def qal(log_rq, ratio, log_lam, share):
+    rq = 10.0**log_rq
+    return complex(rq, rq * ratio), rq * share, 10.0**log_lam
+
+
+def w_rounding(q, a, lam):
+    """The rounding of w = lambda |q|^2 - 2 Re q, eps times its terms' sizes, as it reaches a_lambda through
+    1 / (S (1 + d)) = d^2 / (2 (1 + d)); w cancels near lambda |q|^2 = 2 Re q."""
+    d = distortion_bound(q, a, lam)
+    return 2.0 * np.finfo(float).eps * (lam * abs(q) ** 2 + 2.0 * q.real) * d * d / (1.0 + d)
+
+
 def a_lambda_reference(q: complex, a: float, lam: float) -> decimal.Decimal:
     """(1 - sqrt(2 / (A + sqrt(B)))) / lambda, the direct form, at exact inputs and 2000 digits, far more than 1 - d
     cancels on these draws."""
     with decimal.localcontext() as ctx:
         ctx.prec = 2000
-        rq, iq, a, lam = (decimal.Decimal(v) for v in (q.real, q.imag, a, lam))
-        m = (1 - lam * rq) ** 2 + (lam * iq) ** 2
-        A = m + 4 * lam * a + 1
-        B = (m - 1) ** 2 + 8 * lam**3 * a * (rq * rq + iq * iq)
+        *_, lam, m, A, B = qal_reference(q, a, lam)
         return (1 - (2 / (A + B.sqrt())).sqrt()) / lam
 
 
 @PROPERTY
-@given(log_rq=st.floats(-6.0, 3.0), ratio=st.floats(-10.0, 10.0), log_lam=st.floats(-12.0, 8.0),
-       share=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+@given(**QAL_DRAWS)
 @example(log_rq=0.0, ratio=0.0, log_lam=-9.0, share=0.5)  # the direct form gave 0.50000004137 for 0.499999999875
 @example(log_rq=-4.886, ratio=-3.85, log_lam=-9.96, share=0.0315)  # and 1.01e-6 for 4.10e-7 here
 @example(log_rq=127.5, ratio=0.0, log_lam=-100.0, share=0.0)  # w^2 overflows a double, sqrt(w^2 + c) is inf
 def test_a_lambda_matches_a_decimal_reference(log_rq, ratio, log_lam, share):
-    rq, lam = 10.0**log_rq, 10.0**log_lam
-    q, a = complex(rq, rq * ratio), rq * share
+    q, a, lam = qal(log_rq, ratio, log_lam, share)
     reference = a_lambda_reference(q, a, lam)
-    # w = lambda |q|^2 - 2 Re q cancels near lambda |q|^2 = 2 Re q: the rounding of its terms, eps times their sizes,
-    # reaches a_lambda through 1 / (S (1 + d)) = d^2 / (2 (1 + d)); elsewhere a_lambda is within 2e-15 relative
-    d = distortion_bound(q, a, lam)
-    w_error = 2.0 * np.finfo(float).eps * (lam * abs(q) ** 2 + 2.0 * rq) * d * d / (1.0 + d)
+    # within 2e-15 relative, plus the rounding of w where w cancels
     error = abs(decimal.Decimal(composed_accretivity(q, a, lam)) - reference)
-    assert error <= decimal.Decimal("2e-15") * reference + decimal.Decimal(w_error), (q, a, lam)
+    assert error <= decimal.Decimal("2e-15") * reference + decimal.Decimal(w_rounding(q, a, lam)), (q, a, lam)
+
+
+def d_lambda_reference(q: complex, a: float, lam: float) -> decimal.Decimal:
+    """(Re C - R) / (|C|^2 - R^2) at tau = min(d, 1 - 1e-9), the direct form on the value disk's center and radius,
+    at exact inputs and 2000 digits, far more than |C|^2 - R^2 cancels on these draws."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2000
+        rq, iq, a, lam, m, A, B = qal_reference(q, a, lam)
+        tau = min((2 / (A + B.sqrt())).sqrt(), 1 - decimal.Decimal(1e-9))
+        t2 = tau * tau
+        C = 1 + lam * (rq + t2 * rq - 2 * a * t2) / (1 - t2)  # its real part; Im C = lambda Im q
+        R = lam * 2 * tau * (rq - a) / (1 - t2)
+        return (C - R) / (C * C + (lam * iq) ** 2 - R * R)
+
+
+@PROPERTY
+@given(**QAL_DRAWS)
+@example(log_rq=-4.9, ratio=0.0, log_lam=5.1, share=0.0)  # the |C|^2 - R^2 form was off by 1.6e-7 relative
+@example(log_rq=-3.672, ratio=-2.078, log_lam=-4.921, share=0.463)  # and by 5.4e-8 here
+@example(log_rq=0.0, ratio=0.0, log_lam=0.0, share=0.0)  # tau_hat = 1, clamped to 1 - 1e-9
+def test_d_lambda_matches_a_decimal_reference(log_rq, ratio, log_lam, share):
+    q, a, lam = qal(log_rq, ratio, log_lam, share)
+    reference = d_lambda_reference(q, a, lam)
+    # within 3e-15 relative, plus a_lambda's rounding of w relative to the gap 1 - tau_hat = lambda a_lambda, which
+    # carries into d_lambda at most twice over
+    gap = max(lam * composed_accretivity(q, a, lam), 1e-9)
+    error = abs(decimal.Decimal(resolvent_accretivity(q, a, lam)) - reference)
+    assert error <= decimal.Decimal(3e-15 + 2.0 * lam * w_rounding(q, a, lam) / gap) * reference, (q, a, lam)
+
+
+# The other closed forms against their direct forms at exact inputs in decimal, 100 digits, more than any of them
+# cancels on these draws; each bound is a few times the worst error measured on random draws.
+REFERENCE_CONTEXT = decimal.Context(prec=100)
+
+
+@PROPERTY
+@given(**QAL_DRAWS)
+def test_distortion_and_rho_star_match_a_decimal_reference(log_rq, ratio, log_lam, share):
+    q, a, lam = qal(log_rq, ratio, log_lam, share)
+    with decimal.localcontext(REFERENCE_CONTEXT):
+        rq, _, a_, lam_, _, A, B = qal_reference(q, a, lam)
+        distortion = (2 / (A + B.sqrt())).sqrt()
+        s = (1 + lam_ * rq).sqrt()
+        radius = s / ((2 * lam_ * (rq - a_)).sqrt() + s)
+    assert_close_to(distortion_bound(q, a, lam), distortion)
+    assert_close_to(rho_star(q, a, lam), radius)
+
+
+@PROPERTY
+@given(**QAL_DRAWS)
+def test_starlike_main_margin_matches_a_decimal_reference(log_rq, ratio, log_lam, share):
+    # the margin is a difference of terms of the size of A + sqrt(B), so the bound is relative to that size
+    q, a, lam = qal(log_rq, ratio, log_lam, share)
+    with decimal.localcontext(REFERENCE_CONTEXT):
+        rq, _, a_, lam_, _, A, B = qal_reference(q, a, lam)
+        size = A + B.sqrt()
+        reference = size - 2 * ((2 * lam_ * (rq - a_) / (1 + lam_ * rq)).sqrt() + 1) ** 2
+        error = abs(decimal.Decimal(starlike_main_margin(q, a, lam)) - reference)
+        assert error <= decimal.Decimal("4e-15") * size, (q, a, lam)
+
+
+@PROPERTY
+@given(log_alpha=st.floats(-100.0, 100.0), log_beta=st.none() | st.floats(-100.0, 100.0),
+       r=st.floats(-100.0, -1.0).map(lambda x: 10.0**x) | st.floats(-15.5, 0.0).map(lambda x: 1.0 - 10.0**x))
+@example(log_alpha=0.0, log_beta=None, r=1.0 - 1e-10)  # 1 - r^2 cancelled: off by 5.0e-11 relative
+def test_t_function_matches_a_decimal_reference(log_alpha, log_beta, r):
+    alpha, beta = 10.0**log_alpha, 0.0 if log_beta is None else 10.0**log_beta
+    with decimal.localcontext(REFERENCE_CONTEXT):
+        al, be, rr = to_decimal(alpha, beta, r)
+        reference = 2 * al * rr / ((1 + be) * (1 - rr) ** 2 + al * (1 - rr * rr))
+    assert_close_to(t_function(alpha, beta, r), reference)
+
+
+@PROPERTY
+@given(log_rq=st.floats(-90.0, 90.0), ratio=st.floats(-10.0, 10.0), log_s=st.floats(-12.0, 8.0))
+def test_est1_matches_a_decimal_reference(log_rq, ratio, log_s):
+    # s = lambda Re q; lambda stays below about 1e102, where lambda^3 in B overflows
+    rq = 10.0**log_rq
+    q, lam = complex(rq, rq * ratio), 10.0 ** (log_s - log_rq)
+    with decimal.localcontext(REFERENCE_CONTEXT):
+        rq, iq, lam = to_decimal(q.real, q.imag, lam)
+        far = ((1 - lam * rq) ** 2 + (lam * iq) ** 2).sqrt()
+        reference = decimal.Decimal(1) if lam * (rq * rq + iq * iq) <= 2 * rq else 1 / far
+    assert_close_to(est1_bound(q, lam), reference)
+
+
+@PROPERTY
+@given(log_rq=st.floats(-300.0, 300.0), ratio=st.floats(-10.0, 10.0), share=st.floats(0.0, 1.0))
+def test_distortion_at_critical_lambda_matches_a_decimal_reference(log_rq, ratio, share):
+    rq = 10.0**log_rq
+    q, a = complex(rq, rq * ratio), rq * share
+    with decimal.localcontext(REFERENCE_CONTEXT):
+        rq, iq, a = to_decimal(q.real, q.imag, a)
+        qq = rq * rq + iq * iq
+        lam0 = 2 * rq / qq
+        reference = 1 / (2 * lam0 * a + 1 + lam0 * qq.sqrt() * (2 * lam0 * a).sqrt()).sqrt()
+    assert_close_to(distortion_at_critical_lambda(q, a), reference)
+
+
+@PROPERTY
+@given(s=st.floats(-10.0, 150.0).map(lambda x: 10.0**x) | st.floats(3.0, 3.5))
+@example(s=1.0 + math.sqrt(5.0))  # the root of t*
+def test_region_boundary_matches_a_decimal_reference(s):
+    # near its root t* is a difference of near-equal terms, so the bound is relative to their size
+    with decimal.localcontext(REFERENCE_CONTEXT):
+        (x,) = to_decimal(s)
+        reference = (4 + 2 * x - x * x) / ((2 + x) * (2 + x))
+        size = (4 + 2 * x + x * x) / ((2 + x) * (2 + x))
+        assert abs(decimal.Decimal(region_boundary(s)) - reference) <= decimal.Decimal("4e-15") * size, s
 
 
 # One rule, one wording: each entry point that takes lambda, a point or a count applies the one rule of

@@ -80,19 +80,36 @@ def test_default_thresholds_report(kind, control):
     assert stable(report) == GOLDEN[f"default/{kind}/thresholds"]
 
 
+def refined_lams(specs, grid):
+    """Each spec's lambdas of the grid and lambda = 2 where starlike_order_from_rho says T(rho) refines 1/2."""
+    return [
+        [lam for lam in map(float, (*grid, 2.0))
+         if starlike_order_from_rho(spec.q, spec.a, lam, distortion_bound(spec.q, spec.a, lam)).refined]
+        for spec in specs
+    ]
+
+
 def test_sweep_solver_work(monkeypatch):
     # point-iterations of the seven sweep suites at SMALL: 42 094 when every solve started from
     # z / (1 + lambda q), 29 208 from the third-order start; a start that loses the saving fails here
-    solve, counts = verify.solve_resolvent_grid, []
+    solve, counts, solved = verify.solve_resolvent_grid, [], []
 
     def counting(spec, lam, z):
         sol = solve(spec, lam, z)
         counts.append(int(sol.iterations.sum()))
+        solved.append(spec)
         return sol
 
     monkeypatch.setattr(verify, "solve_resolvent_grid", counting)
-    for name in verify._SWEEPS:
+    grid = np.geomspace(*verify._LAMBDA_RANGE, SMALL.n_lambdas)
+    for name, row in verify._SWEEPS.items():
+        solved.clear()
         run_suite(name, SMALL, seed=SMALL_SEED)
+        # one solve per generator that has any lambda, in pool order (starlike_half once solved each twice)
+        specs = verify._spec_pool(SMALL_SEED, 0xA5, SMALL.n_generators, row.planted, row.samples)
+        if name == "starlike_T":
+            specs = [spec for spec, lams in zip(specs, refined_lams(specs, grid)) if lams]
+        assert solved == specs, name
     assert sum(counts) <= 29_208
 
 
@@ -192,11 +209,22 @@ def test_config_from_dict_rejects_wrong_types(data):
         SuiteConfig.from_dict(data)
 
 
-@pytest.mark.parametrize("data", [d for d in BAD_CONFIGS if isinstance(d, dict)])
+# Bad values of the fields themselves: a key that is no field is no keyword of the constructor either
+BAD_FIELDS = [
+    pytest.param({"n_generators": "3"}, id="count-as-text"),
+    pytest.param({"n_generators": 3.0}, id="count-as-float"),
+    pytest.param({"n_lambdas": True}, id="count-as-bool"),
+    pytest.param({"negative_control": 1}, id="switch-as-int"),
+    pytest.param({"n_angles": -3}, id="negative-angles"),
+    pytest.param({"n_generators": -1}, id="negative-generators"),
+    pytest.param({"n_random": -5}, id="negative-random"),
+    pytest.param({"n_lambdas": 2.5}, id="count-as-fraction"),
+]
+
+
+@pytest.mark.parametrize("data", BAD_FIELDS)
 def test_direct_construction_rejects_the_same(data):
-    # a key that is no field is no keyword of the constructor either
-    unknown = set(data) - {f.name for f in dataclasses.fields(SuiteConfig)}
-    with pytest.raises(TypeError if unknown else ConfigError):
+    with pytest.raises(ConfigError):
         SuiteConfig(**data)
 
 
@@ -208,19 +236,13 @@ def test_solver_tol_is_an_unknown_key():
 
 def test_starlike_t_passes_are_where_the_order_is_refined():
     # one rule decides where T(rho) refines the universal bound: the suite's
-    # passes and starlike_order_from_rho agree on SMALL's pool and lambdas
+    # lambdas and starlike_order_from_rho agree on SMALL's pool and lambdas
     row = verify._SWEEPS["starlike_T"]
     specs = verify._spec_pool(SMALL_SEED, 0xA5, SMALL.n_generators, row.planted, row.samples)
     grid = np.geomspace(*verify._LAMBDA_RANGE, SMALL.n_lambdas)
-    refined = [
-        (i, lam)
-        for i, spec in enumerate(specs)
-        for lam in map(float, (*grid, 2.0))
-        if starlike_order_from_rho(spec.q, spec.a, lam, distortion_bound(spec.q, spec.a, lam)).refined
-    ]
-    passes = row.passes(specs, grid)
-    assert passes == refined
-    assert 0 < len(passes) < len(specs) * (len(grid) + 1)
+    lams = row.lams(specs, grid)
+    assert [ls.tolist() for ls in lams] == refined_lams(specs, grid)
+    assert 0 < sum(ls.size for ls in lams) < len(specs) * (len(grid) + 1)
 
 
 @pytest.mark.parametrize("name,override", [("distortion", {"n_lambdas": 0}), ("thresholds", {"n_draws": 0})])
