@@ -47,7 +47,6 @@ from .herglotz import (
 )
 from .resolvent import (
     GridSolution,
-    ResolventSolution,
     iterate_resolvent,
     solve_resolvent,
     solve_resolvent_grid,

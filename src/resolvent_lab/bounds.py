@@ -48,47 +48,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import _check, _check_lambda
+from .exceptions import _check, _check_class, _check_floor, _check_lambda, _finite_q, _out
 
 
 def _abs2(v):
     return v.real * v.real + v.imag * v.imag
 
 
-def _out(x):
-    """A 0-d result as a Python float, any other result as the array."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
-def _finite_q(q) -> np.ndarray:
-    """q as a complex array; DomainError unless both parts are finite."""
-    q = np.asarray(q, dtype=complex)
-    _check(np.isfinite(q), "q must be finite, got {}", q)
-    return q
-
-
-def _check_floor(a) -> np.ndarray:
-    """a as a float array; DomainError unless 0 <= a < inf, which NaN fails too."""
-    a = np.asarray(a, dtype=float)
-    _check((0.0 <= a) & (a < math.inf), "accretivity floor must be finite and >= 0, got a = {}", a)
-    return a
-
-
 def _validate_qal(q, a, lam):
     q, a = _finite_q(q), _check_floor(a)
-    _check(q.real >= a, "need Re q >= a, got Re q = {}, a = {}", q.real, a)
+    _check_class(q, a)
     lam = _check_lambda(lam)
-    with np.errstate(over="ignore", invalid="ignore"):
-        A, B = _ab(q, a, lam)
+    A, B = _ab(q, a, lam)
     _check(np.isfinite(A) & np.isfinite(B), "A or B overflows a double at q = {}, a = {}, lambda = {}", q, a, lam)
     return q, a, lam
 
 
 def _ab(q, a, lam):
-    m = _abs2(1.0 - lam * q)
-    A = m + 4.0 * lam * a + 1.0
-    B = (m - 1.0) * (m - 1.0) + 8.0 * (lam * lam * lam) * a * _abs2(q)
-    return A, B
+    """A and B, inf or NaN where they overflow, unwarned: ``_validate_qal`` rejects those entries."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = _abs2(1.0 - lam * q)
+        c = 8.0 * (lam * lam * lam) * a * _abs2(q)
+        if not np.isfinite(c).all():  # lambda^3 overflows above about 5.6e102: there c is 8 (lambda a) |lambda q|^2
+            c = np.where(np.isfinite(c), c, 8.0 * (lam * a) * _abs2(lam * q))
+        return m + 4.0 * lam * a + 1.0, (m - 1.0) * (m - 1.0) + c
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 The CLI maps these onto its exit-code contract: DomainError and
 ConfigError exit 2, NonConvergenceError exits 3.  The rules on lambda, points,
-counts, flow end times and broadcasting live here, so a bad input gets one
-DomainError wherever it enters.
+counts, flow end times, broadcasting, q, the floor a and Re q >= a live here,
+so a bad input gets one DomainError wherever it enters, and a spec number
+that is no finite real gets one ConfigError.  The rule that a 0-d result
+is returned as a Python scalar lives here too.
 """
 
 import math
@@ -25,7 +27,7 @@ class ConfigError(ResolventLabError, ValueError):
 
 
 class NonConvergenceError(ResolventLabError, RuntimeError):
-    """Solver exhausted its iteration budget.
+    """Solver exhausted its iteration budget, or a point's residual is not finite.
 
     Signals numerical pathology, not mathematical failure: the resolvent
     exists and is unique whenever Re p >= a >= 0.  The iterate of the
@@ -56,6 +58,40 @@ def _check(ok, message: str, *values) -> None:
     if not ok.all():
         first = np.unravel_index(np.argmin(ok), ok.shape)
         raise DomainError(message.format(*(np.broadcast_to(v, ok.shape).item(first) for v in values)))
+
+
+def _out(x):
+    """A 0-d result as a Python scalar, any other result as the array."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
+def _real(value, name: str) -> float:
+    """value as a float; ConfigError unless it is a finite real number, not a bool or text."""
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer that no double holds
+        pass
+    raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+
+
+def _finite_q(q) -> np.ndarray:
+    """q as a complex array; DomainError unless both parts are finite."""
+    q = np.asarray(q, dtype=complex)
+    _check(np.isfinite(q), "q must be finite, got {}", q)
+    return q
+
+
+def _check_floor(a) -> np.ndarray:
+    """a as a float array; DomainError unless 0 <= a < inf, which NaN fails too."""
+    a = np.asarray(a, dtype=float)
+    _check((0.0 <= a) & (a < math.inf), "accretivity floor must be finite and >= 0, got a = {}", a)
+    return a
+
+
+def _check_class(q, a) -> None:
+    """DomainError unless Re q >= a, so that p(0) = q fits the class with floor a."""
+    _check(q.real >= a, "need Re q >= a, got Re q = {}, a = {}", q.real, a)
 
 
 def _check_lambda(lam) -> np.ndarray:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, DomainError, _check, _check_points
+from .exceptions import (ConfigError, DomainError, _check, _check_class, _check_floor, _check_points, _finite_q,
+                         _out, _real)
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,8 +40,9 @@ class GeneratorSpec:
     scale  -- Re p(0) - a, >= 0.  scale == 0 gives the constant p == q.
     gamma  -- Im p(0).
 
-    Every value is finite, and so are p and p' at every point where they
-    can be evaluated.  Re q >= a holds structurally, since
+    Every value must be a finite real number, not a bool or text, and is
+    stored as a float; p and p' are finite at every point where they can
+    be evaluated.  Re q >= a holds structurally, since
     q = (a + scale) + 1j*gamma with scale >= 0.
     """
 
@@ -51,14 +53,13 @@ class GeneratorSpec:
 
     def __post_init__(self):
         try:
-            raw = [(float(t), float(w)) for t, w in self.atoms]
-        except (TypeError, ValueError, OverflowError) as exc:
+            pairs = [(t, w) for t, w in self.atoms]
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"atoms must be (theta, weight) pairs: {exc}") from exc
-        if not raw:
+        if not pairs:
             raise ConfigError("at least one atom is required")
-        for t, w in raw:
-            if not (math.isfinite(t) and math.isfinite(w)):
-                raise ConfigError("atom angles and weights must be finite")
+        raw = [(_real(t, "atom angle"), _real(w, "atom weight")) for t, w in pairs]
+        for _, w in raw:
             if w <= 0.0:
                 raise ConfigError(f"atom weight must be positive, got {w}")
         total = sum(w for _, w in raw)
@@ -68,12 +69,7 @@ class GeneratorSpec:
             total = 1.0  # keep construction idempotent for round-trips
         object.__setattr__(self, "atoms", tuple((t % TWO_PI, w / total) for t, w in raw))
         for name in ("a", "scale", "gamma"):
-            try:
-                v = float(getattr(self, name))
-            except (TypeError, ValueError, OverflowError):
-                v = math.nan
-            if not math.isfinite(v):
-                raise ConfigError(f"{name} must be a finite real number")
+            v = _real(getattr(self, name), name)
             if v < 0.0 and name != "gamma":
                 raise ConfigError(f"{name} must be >= 0, got {v}")
             object.__setattr__(self, name, v)
@@ -152,9 +148,7 @@ def eval_p(spec: GeneratorSpec, z):
     Guarantees Re p(z) >= a up to roundoff.  Evaluation within 1e-14 of a
     kernel pole (z approaching an atom direction) raises DomainError.
     """
-    scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
-    p = _p_and_dp(spec, _check_points(z))[0]
-    return complex(p[()]) if scalar else p
+    return _out(_p_and_dp(spec, _check_points(z))[0])
 
 def value_disk(spec: GeneratorSpec, r):
     """Closed disk |v - center| <= radius containing p(z) for every |z| = r.
@@ -173,7 +167,7 @@ def value_disk(spec: GeneratorSpec, r):
     center.real = (q.real + rr * q.real - 2.0 * spec.a * r * r) / denom
     center.imag = (q.imag - rr * q.imag) / denom
     radius = 2.0 * r * spec.scale / denom
-    return (complex(center), float(radius)) if r.ndim == 0 else (center, radius)
+    return _out(center), _out(radius)
 
 def harnack_bounds(spec: GeneratorSpec, r):
     """Sharp two-sided bounds for Re p on the circle |z| = r.
@@ -190,7 +184,7 @@ def harnack_bounds(spec: GeneratorSpec, r):
     rq = spec.q.real
     lo = ((1.0 - r) * rq + 2.0 * spec.a * r) / (1.0 + r)
     hi = ((1.0 + r) * rq - 2.0 * spec.a * r) / (1.0 - r)
-    return (float(lo), float(hi)) if r.ndim == 0 else (lo, hi)
+    return _out(lo), _out(hi)
 
 @dataclass(frozen=True)
 class SampleConfig:
@@ -235,17 +229,15 @@ def extremal_generator(q: complex = 1.0, a: float = 0.0) -> GeneratorSpec:
     For q = 1, a = 0 this is p(z) = (1 + z)/(1 - z), the
     configuration at which the distortion bound is attained.
     """
-    q = complex(q)
-    if q.real < a:
-        raise DomainError(f"need Re q >= a, got Re q = {q.real}, a = {a}")
-    return GeneratorSpec(atoms=((0.0, 1.0),), a=a, scale=q.real - a, gamma=q.imag)
+    q, a = _finite_q(q), _check_floor(a)
+    _check_class(q, a)
+    return GeneratorSpec(atoms=((0.0, 1.0),), a=float(a), scale=float(q.real - a), gamma=float(q.imag))
 
 def constant_generator(q: complex) -> GeneratorSpec:
-    """Constant multiplier p == q (the linear map f(z) = q z); requires Re q >= 0."""
-    q = complex(q)
-    if q.real < 0.0:
-        raise DomainError(f"constant generator needs Re q >= 0, got {q.real}")
-    return GeneratorSpec(atoms=((0.0, 1.0),), a=q.real, scale=0.0, gamma=q.imag)
+    """Constant multiplier p == q (the linear map f(z) = q z); requires Re q >= 0, the class rule at a = 0."""
+    q = _finite_q(q)
+    _check_class(q, 0.0)
+    return GeneratorSpec(atoms=((0.0, 1.0),), a=float(q.real), scale=0.0, gamma=float(q.imag))
 
 # ---------------------------------------------------------------------------
 # JSON interchange
@@ -272,15 +264,12 @@ def spec_from_dict(data: dict) -> GeneratorSpec:
     pairs = []
     for entry in atoms:
         try:
-            pairs.append((float(entry["theta"]), float(entry["weight"])))
-        except (TypeError, KeyError, ValueError, OverflowError) as exc:
+            pairs.append((entry["theta"], entry["weight"]))
+        except (TypeError, KeyError) as exc:
             raise ConfigError(f"bad atom entry {entry!r}: {exc}") from exc
-    for name in ("a", "scale", "gamma"):
-        if isinstance(data[name], bool) or not isinstance(data[name], (int, float)):
-            raise ConfigError(f"{name} must be a real number, got {data[name]!r}")
-    return GeneratorSpec(
-        atoms=tuple((t, w) for t, w in pairs if w != 0.0), a=data["a"], scale=data["scale"], gamma=data["gamma"]
-    )
+    # False == 0, but a bool weight is no number: GeneratorSpec rejects it
+    return GeneratorSpec(atoms=tuple((t, w) for t, w in pairs if isinstance(w, bool) or w != 0),
+                         a=data["a"], scale=data["scale"], gamma=data["gamma"])
 
 def _read_json(path):
     """The JSON value in a file; invalid JSON is a ConfigError naming the file."""

@@ -65,7 +65,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import MAX_COMPOSITIONS, NonConvergenceError, _check_broadcast, _check_count, _check_lambda, _check_points
+from .exceptions import (MAX_COMPOSITIONS, NonConvergenceError, _check_broadcast, _check_count, _check_lambda,
+                         _check_points, _out)
 from .herglotz import GeneratorSpec, _p_and_dp
 
 DEFAULT_TOL = 1e-12
@@ -75,25 +76,13 @@ _TRUST_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
-class ResolventSolution:
-    """Solved point w = G_lambda(z) together with diagnostics.
-
-    g is the scalar multiplier with w = g*z; it is computed as
-    1 / (1 + lambda p(w)), which the resolvent equation makes exact.
-    """
-
-    w: complex
-    g: complex
-    residual: float
-    iterations: int
-
-
-@dataclass(frozen=True)
 class GridSolution:
-    """Vectorized solve over an array of z points (shapes all match z).
+    """Vectorized solve over an array of z points (shapes all match z); Python scalars from ``solve_resolvent``.
 
-    Q = 1 + lambda p'(w) w / (1 + lambda p(w)) is the starlikeness functional (1 at z = 0),
-    and p is p(w) from the solve's last kernel call.
+    g is the multiplier with w = g z, computed as 1 / (1 + lambda p(w)),
+    which the resolvent equation makes exact.  Q = 1 + lambda p'(w) w /
+    (1 + lambda p(w)) is the starlikeness functional (1 at z = 0), and p
+    is p(w) from the solve's last kernel call.
     """
 
     w: np.ndarray
@@ -104,6 +93,7 @@ class GridSolution:
     p: np.ndarray
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _solve_core(spec, lam, z, tol, max_iter):
     """Safeguarded Newton iteration on a flat complex array; returns w, p(w), p'(w), |F|, iterations.
 
@@ -125,7 +115,9 @@ def _solve_core(spec, lam, z, tol, max_iter):
     points, and den = 1 + lambda p and F = w den - z from them serve both
     the residual test and the next round's step.  F' = H'(w) of a univalent
     H does not vanish; a step that is not finite all the same fails the
-    trust-disk test.
+    trust-disk test.  Overflow and invalid results go unwarned: where
+    lambda p(w) overflows, the point's |F| is not finite, it stops, and
+    ``solve_resolvent_grid`` raises for it.
     """
     out = None  # the full-size w, p, p', |F| and iterations, from the first cut on
     idx = np.arange(z.size)
@@ -133,11 +125,10 @@ def _solve_core(spec, lam, z, tol, max_iter):
     p1, p2 = spec._p_series
     D = 1.0 + lam * spec.q
     w = z / D
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        r = lam / D
-        u, v = r * p1, r * p2
-        pade = w / (1.0 + (u + (v - u * u) * w) * w)
-        w = np.where(np.abs(pade) <= cap, pade, w)
+    r = lam / D
+    u, v = r * p1, r * p2
+    pade = w / (1.0 + (u + (v - u * u) * w) * w)
+    w = np.where(np.abs(pade) <= cap, pade, w)
     pw, dpw = _p_and_dp(spec, w)
     den = 1.0 + lam * pw
     F = w * den - z
@@ -162,8 +153,7 @@ def _solve_core(spec, lam, z, tol, max_iter):
             active = np.ones(n_active, dtype=bool)
         iters += active
 
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            cand = w - F / (den + lam * dpw * w)
+        cand = w - F / (den + lam * dpw * w)
         newton = np.abs(cand) <= cap
         back = np.flatnonzero(active & ~newton)
         w = np.where(active & newton, cand, w)
@@ -194,21 +184,25 @@ def solve_resolvent_grid(spec: GeneratorSpec, lam, z) -> GridSolution:
     lam, arr = _check_broadcast(("lambda", _check_lambda(lam)), ("z", _check_points(z)))
     flat, lam = arr.ravel(), lam.astype(complex, order="C").ravel()
     w, pw, dpw, aF, iters = _solve_core(spec, lam, flat, DEFAULT_TOL, MAX_ITER)
-    unconverged = np.count_nonzero(aF > DEFAULT_TOL)
+    unconverged = np.count_nonzero(~(aF <= DEFAULT_TOL))  # a residual that is not finite too
     if unconverged:
-        worst = int(np.argmax(aF))
+        worst = int(np.argmax(aF))  # the first NaN, if there is one
         z_worst, lam_worst = complex(flat[worst]), float(lam[worst].real)
+        how = (f"after {MAX_ITER} iterations; worst residual {aF[worst]:.3g}" if np.isfinite(aF[worst])
+               else "with a residual that is not finite")
         raise NonConvergenceError(
-            f"{unconverged} of {flat.size} points unconverged after {MAX_ITER} iterations; "
-            f"worst residual {aF[worst]:.3g} at z = {z_worst}, lambda = {lam_worst}",
+            f"{unconverged} of {flat.size} points unconverged {how} at z = {z_worst}, lambda = {lam_worst}",
             w=complex(w[worst]),
             residual=float(aF[worst]),
-            iterations=MAX_ITER,
+            iterations=int(iters[worst]),
             z=z_worst,
             lam=lam_worst,
         )
-    den = 1.0 + lam * pw
-    Q = 1.0 + lam * dpw * w / den  # w = 0, so Q = 1, at z = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = 1.0 + lam * pw
+        # w = 0, so Q = 1, at z = 0; lambda p'(w) w is taken as lambda (p'(w) w) where lambda p'(w) overflows
+        ldp = lam * dpw
+        Q = 1.0 + np.where(np.isfinite(ldp), ldp * w, lam * (dpw * w)) / den
     shape = arr.shape
     return GridSolution(
         w=w.reshape(shape),
@@ -220,19 +214,14 @@ def solve_resolvent_grid(spec: GeneratorSpec, lam, z) -> GridSolution:
     )
 
 
-def solve_resolvent(spec: GeneratorSpec, lam: float, z: complex) -> ResolventSolution:
+def solve_resolvent(spec: GeneratorSpec, lam: float, z: complex) -> GridSolution:
     """Solve w + lambda p(w) w = z for a single point: a one-point ``solve_resolvent_grid``.
 
-    Returns a ResolventSolution with the grid's bits, and raises its
-    NonConvergenceError.
+    Returns its GridSolution with every field a Python scalar of the
+    grid's bits, and raises its NonConvergenceError.
     """
-    sol = solve_resolvent_grid(spec, float(lam), [complex(z)])
-    return ResolventSolution(
-        w=complex(sol.w[0]),
-        g=complex(sol.g[0]),
-        residual=float(sol.residual[0]),
-        iterations=int(sol.iterations[0]),
-    )
+    sol = solve_resolvent_grid(spec, float(lam), complex(z))
+    return GridSolution(*map(_out, vars(sol).values()))  # the fields, in order
 
 
 def iterate_resolvent(spec: GeneratorSpec, lam, z, n):
@@ -249,4 +238,4 @@ def iterate_resolvent(spec: GeneratorSpec, lam, z, n):
     for k in range(int(counts.max(initial=0))):
         running = counts > k
         w[running] = solve_resolvent_grid(spec, lams[running], w[running]).w
-    return complex(w) if w.ndim == 0 else w
+    return _out(w)

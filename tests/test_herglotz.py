@@ -336,6 +336,9 @@ class TestSpecValidation:
             GeneratorSpec(atoms=((0.0, 1.0),), scale=-1.0)
         with pytest.raises(ConfigError):
             GeneratorSpec(atoms=((0.0, float("nan")),))
+        for atoms in ((0.0, 1.0), ((0.0, 1.0, 2.0),), 3):  # flat, a triple, not iterable
+            with pytest.raises(ConfigError, match=r"^atoms must be \(theta, weight\) pairs: "):
+                GeneratorSpec(atoms=atoms)
 
     def test_extremal_requires_req_ge_a(self):
         with pytest.raises(DomainError):

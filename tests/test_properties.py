@@ -6,8 +6,9 @@ DomainError, never another exception.  Each closed form of ``bounds``
 gives on an array the bits of its scalar calls, and on an array with one
 bad entry the DomainError of the scalar call on that entry; each matches
 its direct form in decimal arithmetic, within a stated bound.  Each rule
-on lambda, points, counts and t_end, and the cap on composition counts,
-gives one wording at every entry point.
+on lambda, points, counts, t_end, q, the floor a and Re q >= a, the cap on
+composition counts, and the rule on a spec's numbers, gives one wording at
+every entry point.
 Hypothesis runs derandomized and without its example database, so every
 run of the suite draws the same examples.
 """
@@ -27,6 +28,7 @@ from resolvent_lab import (
     GeneratorSpec,
     SuiteConfig,
     composed_accretivity,
+    constant_generator,
     distortion_at_critical_lambda,
     distortion_bound,
     est1_bound,
@@ -49,9 +51,9 @@ from resolvent_lab import (
     threshold_m2,
     value_disk,
 )
-from resolvent_lab.bounds import _certifying_conditions, _out, _t_refines
+from resolvent_lab.bounds import _certifying_conditions, _t_refines
 from resolvent_lab.cli import parse_complex
-from resolvent_lab.exceptions import MAX_COMPOSITIONS
+from resolvent_lab.exceptions import MAX_COMPOSITIONS, _out
 
 PROPERTY = settings(max_examples=120, derandomize=True, database=None, deadline=None)
 
@@ -418,6 +420,7 @@ REFERENCE_CONTEXT = decimal.Context(prec=100)
 
 @PROPERTY
 @given(**QAL_DRAWS)
+@example(log_rq=-103.0, ratio=0.0, log_lam=103.0, share=0.1)  # lambda^3 overflows a double, B does not
 def test_distortion_and_rho_star_match_a_decimal_reference(log_rq, ratio, log_lam, share):
     q, a, lam = qal(log_rq, ratio, log_lam, share)
     with decimal.localcontext(REFERENCE_CONTEXT):
@@ -455,9 +458,9 @@ def test_t_function_matches_a_decimal_reference(log_alpha, log_beta, r):
 
 
 @PROPERTY
-@given(log_rq=st.floats(-90.0, 90.0), ratio=st.floats(-10.0, 10.0), log_s=st.floats(-12.0, 8.0))
+@given(log_rq=st.floats(-150.0, 150.0), ratio=st.floats(-10.0, 10.0), log_s=st.floats(-12.0, 8.0))
 def test_est1_matches_a_decimal_reference(log_rq, ratio, log_s):
-    # s = lambda Re q; lambda stays below about 1e102, where lambda^3 in B overflows
+    # s = lambda Re q
     rq = 10.0**log_rq
     q, lam = complex(rq, rq * ratio), 10.0 ** (log_s - log_rq)
     with decimal.localcontext(REFERENCE_CONTEXT):
@@ -492,7 +495,7 @@ def test_region_boundary_matches_a_decimal_reference(s):
         assert abs(decimal.Decimal(region_boundary(s)) - reference) <= decimal.Decimal("4e-15") * size, s
 
 
-# One rule, one wording: each entry point that takes lambda, a point or a count applies the one rule of
+# One rule, one wording: each entry point that takes lambda, a point, a count, q or a applies the one rule of
 # ``exceptions``, so the same bad input gives the same DomainError message wherever it enters.
 SPEC = extremal_generator(1.0, 0.0)
 LAMBDA_ENTRIES = [
@@ -512,8 +515,8 @@ COUNT_ENTRIES = [
 ]
 
 
-def _message(call, value) -> str:
-    with pytest.raises(DomainError) as info:
+def _message(call, value, error=DomainError) -> str:
+    with pytest.raises(error) as info:
         call(value)
     return str(info.value)
 
@@ -558,6 +561,56 @@ CAP_ENTRIES = [
 def test_one_composition_cap_one_wording(n):
     expected = f"composition count must be at most {MAX_COMPOSITIONS}, got {n!r}"
     assert {_message(call, n) for call in CAP_ENTRIES} == {expected}
+
+
+# each entry point that takes q, and each that takes the floor a, with the other arguments valid
+Q_ENTRIES = [
+    lambda q: distortion_bound(q, 0.0, 1.0),
+    lambda q: threshold_m1(q, 0.0),
+    lambda q: extremal_generator(q, 0.0),
+    lambda q: constant_generator(q),
+]
+A_ENTRIES = [
+    lambda a: distortion_bound(1.0, a, 1.0),
+    lambda a: threshold_m1(1.0, a),
+    lambda a: extremal_generator(1.0, a),
+]
+
+
+@pytest.mark.parametrize("q", [complex(NAN, 0.0), complex(INF, 0.0), complex(1.0, -INF)])
+def test_one_q_rule_one_wording(q):
+    assert {_message(call, q) for call in Q_ENTRIES} == {f"q must be finite, got {q}"}
+
+
+@pytest.mark.parametrize("a", [-1.0, NAN, INF])
+def test_one_floor_rule_one_wording(a):
+    assert {_message(call, a) for call in A_ENTRIES} == {f"accretivity floor must be finite and >= 0, got a = {a}"}
+
+
+@pytest.mark.parametrize("q,a", [(-1.0, 0.0), (complex(-2.0, 3.0), 0.0), (0.25, 0.5)])
+def test_one_class_rule_one_wording(q, a):
+    entries = [lambda q: distortion_bound(q, a, 1.0), lambda q: extremal_generator(q, a)]
+    entries += [constant_generator] if a == 0.0 else []  # p == q meets the rule at a = 0
+    expected = f"need Re q >= a, got Re q = {complex(q).real}, a = {a}"
+    assert {_message(call, q) for call in entries} == {expected}
+
+
+def spec_with(name, value):
+    """GeneratorSpec's keyword arguments and the spec's JSON form, with ``value`` as the number called ``name``."""
+    theta, weight = {"atom angle": (value, 1.0), "atom weight": (0.0, value)}.get(name, (0.0, 1.0))
+    kwargs = {"atoms": ((theta, weight),), "a": 0.0, "scale": 1.0, "gamma": 0.0}
+    if name in kwargs:
+        kwargs[name] = value
+    return kwargs, kwargs | {"atoms": [{"theta": theta, "weight": weight}]}
+
+
+@pytest.mark.parametrize("value", ["0.5", True, None, 10**400], ids=["text", "bool", "null", "huge-int"])
+@pytest.mark.parametrize("name", ["atom angle", "atom weight", "a", "scale", "gamma"])
+def test_one_spec_number_rule_one_wording(name, value):
+    kwargs, data = spec_with(name, value)
+    messages = {_message(lambda kw: GeneratorSpec(**kw), kwargs, ConfigError),
+                _message(spec_from_dict, data, ConfigError)}
+    assert messages == {f"{name} must be a finite real number, got {value!r}"}
 
 
 # each entry point that broadcasts lambda against z, with what else its message names

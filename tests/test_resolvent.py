@@ -1,6 +1,8 @@
 """Resolvent solver against closed-form oracles and its own certificates."""
 
+import dataclasses
 import decimal
+import itertools
 import warnings
 from decimal import Decimal
 
@@ -156,12 +158,16 @@ class TestSolutionContract:
             solve_resolvent_grid(single_atom, np.ones(3), np.full(4, 0.5))
 
     def test_scalar_solve_is_one_point_grid_solve(self, single_atom, random_specs):
+        # every field a Python scalar with the bits of the grid's entry
+        types = {"w": complex, "g": complex, "residual": float, "iterations": int, "Q": complex, "p": complex}
         for spec in [single_atom] + random_specs[:6]:
             for lam, z in ((1.0, -0.999), (2.19, 0.3 - 0.6j), (0.01, 0.99), (40.0, 0.7j), (1.0, 0.0)):
                 one = solve_resolvent(spec, lam, z)
                 grid = solve_resolvent_grid(spec, lam, [z])
-                assert one.w == grid.w[0] and one.g == grid.g[0]
-                assert one.residual == grid.residual[0] and one.iterations == grid.iterations[0]
+                for name, kind in types.items():
+                    value, entry = getattr(one, name), getattr(grid, name)[0]
+                    assert type(value) is kind
+                    assert np.array(value, dtype=entry.dtype).tobytes() == entry.tobytes(), name
 
     def test_iteration_budget_exhaustion(self, single_atom, monkeypatch):
         from resolvent_lab import NonConvergenceError
@@ -253,6 +259,30 @@ def start(spec, lam, z):
     """The solver's starting point: the w of ``_solve_core`` run with ``max_iter=0``."""
     z = np.asarray(z, dtype=complex)
     return _solve_core(spec, np.full(z.shape, lam, dtype=complex), z, DEFAULT_TOL, 0)[0]
+
+
+# The spec's own limits: scale from 0 to 8.9e279, lambda from 1e-300 to 1.7e308, and points from 0 to
+# |z| = 1 - 1e-13, 1e-9 and 1e-7 beside the two atoms' directions and at three other angles.
+EDGE_SCALES = (0.0, 1e-300, 1.0, 1e10, 1e100, 8.9e279)
+EDGE_LAMBDAS = (1e-300, 1e-10, 1.0, 1e10, 1e100, 1e200, 1e300, 1.7e308)
+EDGE_POINTS = [0.0, 0.5, -0.5j] + [r * np.exp(1j * t) for r in (0.99, 1.0 - 1e-9, 1.0 - 1e-13)
+                                   for t in (0.0, 0.3 + 1e-9, 1.0, 2.0 - 1e-7, np.pi)]
+
+
+def test_edges_of_the_domain_give_finite_fields_or_nonconvergence():
+    # 3456 one-point solves.  A residual that is not finite is no convergence, and Q is finite where lambda p'
+    # overflows; under the suite's filterwarnings = error, a RuntimeWarning fails the test too.
+    solved = 0
+    for scale, lam, a, gamma in itertools.product(EDGE_SCALES, EDGE_LAMBDAS, (0.0, 0.1), (0.0, 0.2)):
+        spec = GeneratorSpec(atoms=((0.3, 1.0), (2.0, 2.0)), a=a, scale=scale, gamma=gamma)
+        for z in EDGE_POINTS:
+            try:
+                sol = solve_resolvent_grid(spec, lam, z)
+            except NonConvergenceError:
+                continue
+            assert all(np.isfinite(getattr(sol, f.name)) for f in dataclasses.fields(sol)), (spec, lam, z)
+            solved += 1
+    assert solved >= 2844  # the points that solve today; in the other 612, w (1 + lambda p(w)) - z overflows
 
 
 class TestStart:

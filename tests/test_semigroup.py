@@ -32,6 +32,13 @@ class TestIntegrate:
         traj = integrate(constant_one, 0.5, 1.0)
         assert abs(traj.endpoint - 0.5 * np.exp(-1.0)) <= 1e-8
 
+    def test_zero_generator_stays_put(self):
+        # p == 0 has q = 0, so nothing moves: not the plain flow, nor the composed one, nor a rung of the ladder
+        spec, z0 = constant_generator(0.0), 0.3 - 0.4j
+        for traj in (integrate(spec, z0, 1.0), integrate_composed(spec, 2.0, z0, 1.0)):
+            assert traj.times.size == 201 and np.all(traj.points == z0)
+        assert ladder_gaps(spec, z0, 1.0) == [(n, 0.0) for n in (8, 16, 32, 64, 128)]
+
     def test_linear_complex(self):
         spec = constant_generator(1.0 + 1.0j)
         z0 = 0.4 - 0.2j

@@ -24,7 +24,6 @@ EXPECTED = {
     "OrderCertificate": "(order, condition)",
     "OrderEstimate": "(order, strong_order, refined)",
     "ResolventLabError": None,
-    "ResolventSolution": "(w, g, residual, iterations)",
     "SampleConfig": "(max_atoms=6, a_range=(0.0, 1.0), scale_range=(0.0, 2.0), gamma_range=(-1.0, 1.0))",
     "SqueezeReport": "(ok, worst_margin)",
     "SuiteConfig": (
